@@ -40,8 +40,8 @@ def _parse_ell(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise ParseError(f"bad exponent {text!r}") from exc
-    if value < 1:
-        raise ParseError("exponent must be >= 1 or 'inf'")
+    if math.isnan(value) or value < 1:
+        raise ParseError(f"exponent must be >= 1 or 'inf', got {text!r}")
     return int(value) if value.is_integer() else value
 
 
@@ -146,7 +146,10 @@ def _cmd_gen(args) -> int:
         return 0
     if not args.s:
         raise ParseError("--s is required for reduction generation")
-    elements = [int(tok) for tok in args.s.split(",") if tok.strip()]
+    try:
+        elements = [int(tok) for tok in args.s.split(",") if tok.strip()]
+    except ValueError:
+        raise ParseError(f"--s must be comma-separated integers, got {args.s!r}") from None
     red = gen_3partition_reduction(elements, args.p, args.q)
     save_instance(red.instance, args.out_instance)
     save_clustering(red.clustering, args.out_clustering)

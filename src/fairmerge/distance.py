@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, SizeMismatch
+from .errors import EmptyInput, InvalidArgument, SizeMismatch
 from .model import Clustering
 
 
@@ -43,8 +43,28 @@ def dist(a: Clustering, b: Clustering) -> int:
     return out
 
 
-def _pairs(x: int) -> int:
-    return x * (x - 1) // 2
+def _pairs_sum(counts: np.ndarray) -> int:
+    """Sum of C(c, 2) over the counts, exact in int64 for counts below 3e9."""
+    c = counts.astype(np.int64, copy=False)
+    return int((c * (c - 1) // 2).sum())
+
+
+def dist_labels(la: np.ndarray, lb: np.ndarray) -> int:
+    """:func:`dist` between two non-negative label arrays of equal length.
+
+    Labels need not be normalized.  Points with the same label in both
+    arrays fill only the diagonal of the contingency table, which one
+    bincount counts; only the points whose labels differ are sorted.
+    """
+    if la.shape[0] == 0:
+        return 0
+    same = la == lb
+    diag = np.bincount(la[same])
+    differ = ~same
+    off_key = la[differ] * (int(lb.max()) + 1) + lb[differ]
+    off = np.unique(off_key, return_counts=True)[1]
+    sum_ab = _pairs_sum(diag) + _pairs_sum(off)
+    return _pairs_sum(np.bincount(la)) + _pairs_sum(np.bincount(lb)) - 2 * sum_ab
 
 
 def dist_fast(a: Clustering, b: Clustering) -> int:
@@ -53,17 +73,14 @@ def dist_fast(a: Clustering, b: Clustering) -> int:
     dist = sum C(|A_i|,2) + sum C(|B_j|,2) - 2 sum C(|A_i ∩ B_j|,2),
     computed in near-linear time.
     """
-    n = _check_same_n(a, b)
-    if n == 0:
-        return 0
-    la = a.labels_array()
-    lb = b.labels_array()
-    sum_a = sum(_pairs(int(c)) for c in np.bincount(la))
-    sum_b = sum(_pairs(int(c)) for c in np.bincount(lb))
-    key = la * np.int64(max(b.k, 1)) + lb
-    _, counts = np.unique(key, return_counts=True)
-    sum_ab = sum(_pairs(int(c)) for c in counts)
-    return sum_a + sum_b - 2 * sum_ab
+    _check_same_n(a, b)
+    return dist_labels(a.labels_array(), b.labels_array())
+
+
+def check_exponent(ell: float) -> None:
+    """Raise :class:`InvalidArgument` unless ell is a number >= 1 or inf."""
+    if math.isnan(ell) or ell < 1:
+        raise InvalidArgument(f"exponent must be >= 1 or inf, got {ell!r}")
 
 
 def lmean(dists: Sequence[int], ell: float) -> ConsensusObjective:
@@ -75,8 +92,7 @@ def lmean(dists: Sequence[int], ell: float) -> ConsensusObjective:
     ds = list(dists)
     if not ds:
         raise EmptyInput("lmean of no distances")
-    if ell != math.inf and ell < 1:
-        raise ValueError("exponent must be >= 1 or inf")
+    check_exponent(ell)
     if ell == math.inf:
         return ConsensusObjective(ell=math.inf, value=float(max(ds)))
     if ell == 1:

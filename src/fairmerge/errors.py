@@ -5,6 +5,10 @@ class FairmergeError(Exception):
     """Base class for all errors raised by fairmerge."""
 
 
+class InvalidArgument(FairmergeError, ValueError):
+    """A value outside its domain: a color, a ratio part, a label or an exponent."""
+
+
 class LengthMismatch(FairmergeError):
     """A label sequence does not cover every point exactly once."""
 
@@ -70,4 +74,4 @@ class OutOfRangeElement(FairmergeError):
 
 
 class ParseError(FairmergeError):
-    """An input file could not be parsed against its schema."""
+    """An input file, flag or environment value could not be parsed."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import UnbalancedTotals, WrongRatio
-from .model import Clustering, Color, ColoredInstance, all_stats, validate_feasible
+from .model import Clustering, ColoredInstance, all_stats, validate_feasible
 from .transcript import ClusterState, Transcript
 
 
@@ -49,7 +49,7 @@ def make_it_fair(
     major = blues if len(blues) > len(reds) else reds
     excess = abs(len(blues) - len(reds))
     members = tuple(major[-excess:])
-    color = "blue" if instance.colors[members[0]] is Color.BLUE else "red"
+    color = "blue" if instance.blue_mask[members[0]] else "red"
     leftover = MonoCluster(color=color, members=members, origin=origin)
     fair = sorted(set(pts) - set(members))
     return tuple(fair), leftover

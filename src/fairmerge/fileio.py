@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import ParseError, SizeMismatch
+from .errors import InvalidArgument, ParseError, SizeMismatch
 from .model import Clustering, ColoredInstance, normalize
 
 
@@ -30,17 +30,24 @@ def _load_json(path) -> dict:
     return doc
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; JSON true/false load as bool, a subclass of int."""
+    return type(x) is int
+
+
 def load_instance(path) -> ColoredInstance:
     doc = _load_json(path)
     try:
         n, colors, p, q = doc["n"], doc["colors"], doc["p"], doc["q"]
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
+    if not _is_int(n) or n < 0:
+        raise ParseError(f"{path}: n must be a non-negative integer")
     if not isinstance(colors, str) or len(colors) != n:
         raise ParseError(f"{path}: colors string must have length n = {n}")
-    if any(c not in "RB" for c in colors):
+    if set(colors) - {"R", "B"}:
         raise ParseError(f"{path}: colors must be 'R' or 'B'")
-    if not (isinstance(p, int) and isinstance(q, int) and p >= 1 and q >= 1):
+    if not (_is_int(p) and _is_int(q) and p >= 1 and q >= 1):
         raise ParseError(f"{path}: p and q must be positive integers")
     return ColoredInstance.from_colors(colors, p, q)
 
@@ -48,7 +55,7 @@ def load_instance(path) -> ColoredInstance:
 def save_instance(instance: ColoredInstance, path) -> None:
     doc = {
         "n": instance.n,
-        "colors": "".join(c.value for c in instance.colors),
+        "colors": instance.color_string(),
         "p": instance.given_p,
         "q": instance.given_q,
     }
@@ -61,15 +68,18 @@ def load_clustering(path, n: int | None = None) -> Clustering:
         labels = doc["labels"]
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
-    if not isinstance(labels, list) or any(not isinstance(x, int) for x in labels):
+    if not isinstance(labels, list) or not all(map(_is_int, labels)):
         raise ParseError(f"{path}: labels must be a list of integers")
     if n is not None and len(labels) != n:
         raise SizeMismatch(f"{path}: {len(labels)} labels for an instance of {n} points")
-    return normalize(labels)
+    try:
+        return normalize(labels)
+    except InvalidArgument:
+        raise ParseError(f"{path}: labels must lie in the int64 range") from None
 
 
 def save_clustering(clustering: Clustering, path) -> None:
-    Path(path).write_text(_dumps({"labels": list(clustering.labels)}), encoding="utf-8")
+    Path(path).write_text(_dumps({"labels": clustering.labels_array().tolist()}), encoding="utf-8")
 
 
 def save_report(report: dict, path) -> None:

@@ -18,12 +18,24 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadClusterId, InfeasibleFairness, LengthMismatch
+from .errors import BadClusterId, InfeasibleFairness, InvalidArgument, LengthMismatch
 
 
 class Color(Enum):
     RED = "R"
     BLUE = "B"
+
+
+_COLOR_OF = (Color.RED, Color.BLUE)
+
+# byte -> 0 (red), 1 (blue) or 2 (not a color), for one-pass string parsing
+_COLOR_CODE = np.full(256, 2, dtype=np.uint8)
+_COLOR_CODE[[ord("R"), ord("r")]] = 0
+_COLOR_CODE[[ord("B"), ord("b")]] = 1
+
+# normalize relabels through a table indexed by label value when every
+# label lies in [0, _DENSE_FACTOR * n)
+_DENSE_FACTOR = 4
 
 
 def _coerce_color(c) -> Color:
@@ -33,20 +45,41 @@ def _coerce_color(c) -> Color:
         return Color.RED
     if c in ("B", "b"):
         return Color.BLUE
-    raise ValueError(f"not a color: {c!r}")
+    raise InvalidArgument(f"not a color: {c!r}")
 
 
-@dataclass(frozen=True)
+def _blue_of(colors: Iterable) -> np.ndarray:
+    """Bool mask, True where the given color is blue."""
+    if isinstance(colors, str):
+        code = _COLOR_CODE[np.frombuffer(colors.encode("ascii", "replace"), dtype=np.uint8)]
+        if code.shape[0] and code.max() > 1:
+            for c in colors:
+                _coerce_color(c)  # raises on the first bad character
+        return code == 1
+    blue, red = Color.BLUE, Color.RED
+    return np.fromiter(
+        (c is blue or (c is not red and _coerce_color(c) is blue) for c in colors), dtype=bool
+    )
+
+
+def _ratio_part(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 1:
+        raise InvalidArgument(f"ratio parts must be positive integers, got {x!r}")
+    return int(x)
+
+
+@dataclass(frozen=True, eq=False)
 class ColoredInstance:
-    """The point universe: colors as given, plus the working ratio.
+    """The point universe: one read-only color mask plus the working ratio.
 
-    ``p``/``q`` are the irreducible ratio after the majority-role swap, so
-    ``p >= q`` whenever a fair clustering can exist.  ``given_p``/``given_q``
-    keep the ratio exactly as supplied, for display and serialization.
+    ``blue_mask[i]`` is True when point ``i`` is given as blue.  ``p``/``q``
+    are the irreducible ratio after the majority-role swap, so ``p >= q``
+    whenever a fair clustering can exist.  ``given_p``/``given_q`` keep the
+    ratio exactly as supplied, for display and serialization.  Build
+    instances through :meth:`from_colors`.
     """
 
-    n: int
-    colors: tuple[Color, ...]
+    blue_mask: np.ndarray
     p: int
     q: int
     swapped: bool
@@ -55,100 +88,178 @@ class ColoredInstance:
 
     @classmethod
     def from_colors(cls, colors: Iterable, p: int, q: int) -> "ColoredInstance":
-        cols = tuple(_coerce_color(c) for c in colors)
-        if p < 1 or q < 1:
-            raise ValueError("ratio parts must be positive integers")
-        given_p, given_q = p, q
-        g = math.gcd(p, q)
-        p, q = p // g, q // g
-        blue = sum(1 for c in cols if c is Color.BLUE)
-        red = len(cols) - blue
-        swapped = red > blue
+        """Instance from a string over ``RBrb`` or an iterable of colors.
+
+        Raises :class:`InvalidArgument` for a value that is not a color and
+        for a ratio part that is not a positive integer.
+        """
+        given_p, given_q = _ratio_part(p), _ratio_part(q)
+        blue = _blue_of(colors)
+        blue.flags.writeable = False
+        g = math.gcd(given_p, given_q)
+        p, q = given_p // g, given_q // g
+        swapped = 2 * int(np.count_nonzero(blue)) < blue.shape[0]
         if swapped:
             p, q = q, p
-        return cls(
-            n=len(cols),
-            colors=cols,
-            p=p,
-            q=q,
-            swapped=swapped,
-            given_p=given_p,
-            given_q=given_q,
-        )
+        return cls(blue_mask=blue, p=p, q=q, swapped=swapped, given_p=given_p, given_q=given_q)
+
+    @property
+    def n(self) -> int:
+        return self.blue_mask.shape[0]
+
+    @cached_property
+    def colors(self) -> tuple[Color, ...]:
+        """The given colors as one ``Color`` per point, built on first use."""
+        return tuple(map(_COLOR_OF.__getitem__, self.blue_mask.tolist()))
+
+    def color_string(self) -> str:
+        """The given colors as a string over ``R``/``B``."""
+        return np.where(self.blue_mask, ord("B"), ord("R")).astype(np.uint8).tobytes().decode("ascii")
 
     def role_is_blue(self, i: int) -> bool:
         """True when point ``i`` plays the majority ("blue") role."""
-        return (self.colors[i] is Color.BLUE) != self.swapped
+        return bool(self.blue_mask[i]) != self.swapped
 
     @cached_property
     def role_blue_mask(self) -> np.ndarray:
-        raw = np.fromiter(
-            (c is Color.BLUE for c in self.colors), dtype=bool, count=self.n
-        )
-        return ~raw if self.swapped else raw
+        if not self.swapped:
+            return self.blue_mask
+        mask = ~self.blue_mask
+        mask.flags.writeable = False
+        return mask
 
     @cached_property
     def blue_total(self) -> int:
-        return int(self.role_blue_mask.sum())
+        return int(np.count_nonzero(self.role_blue_mask))
 
     @cached_property
     def red_total(self) -> int:
         return self.n - self.blue_total
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ColoredInstance):
+            return NotImplemented
+        return (self.p, self.q, self.swapped, self.given_p, self.given_q) == (
+            other.p, other.q, other.swapped, other.given_p, other.given_q
+        ) and np.array_equal(self.blue_mask, other.blue_mask)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash((self.blue_mask.tobytes(), self.p, self.q, self.given_p, self.given_q))
+
+
+def _label_array(labels, copy: bool) -> np.ndarray:
+    try:
+        arr = np.array(labels, dtype=np.int64) if copy else np.asarray(labels, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise InvalidArgument(f"labels must be integers in the int64 range: {exc}") from None
+    if arr.ndim != 1:
+        raise LengthMismatch("labels must be a flat sequence")
+    return arr
+
+
 class Clustering:
-    """A partition of 0..n-1 as a label per point.
+    """A partition of 0..n-1 as one read-only int64 label per point.
 
     Labels are contiguous ints 0..k-1 assigned by first occurrence; build
     instances through :func:`normalize` so this invariant always holds.
-    Every cluster is nonempty.
+    Every cluster is nonempty.  The array is the only stored form; the
+    tuple views ``labels`` and ``members`` are built on first use.
     """
 
-    labels: tuple[int, ...]
-    k: int
+    def __init__(self, labels: Sequence[int] | np.ndarray, k: int) -> None:
+        arr = _label_array(labels, copy=True)
+        arr.flags.writeable = False
+        self._array = arr
+        self._k = int(k)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, k: int) -> "Clustering":
+        """Wrap a fresh int64 array without copying it; it becomes read-only."""
+        out = cls.__new__(cls)
+        arr.flags.writeable = False
+        out._array = arr
+        out._k = k
+        return out
+
+    @property
+    def k(self) -> int:
+        return self._k
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return self._array.shape[0]
+
+    def labels_array(self) -> np.ndarray:
+        """The read-only label array itself; no copy."""
+        return self._array
+
+    @cached_property
+    def labels(self) -> tuple[int, ...]:
+        """One label per point as Python ints."""
+        return tuple(self._array.tolist())
 
     @cached_property
     def members(self) -> tuple[tuple[int, ...], ...]:
         """Point ids per cluster, each ascending."""
-        buckets: list[list[int]] = [[] for _ in range(self.k)]
-        for i, lab in enumerate(self.labels):
-            buckets[lab].append(i)
-        return tuple(tuple(b) for b in buckets)
+        order = np.argsort(self._array, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self._array, minlength=self._k)).tolist()
+        out, start = [], 0
+        for end in ends:
+            out.append(tuple(order[start:end]))
+            start = end
+        return tuple(out)
 
-    @cached_property
-    def _array(self) -> np.ndarray:
-        arr = np.asarray(self.labels, dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Clustering):
+            return NotImplemented
+        return self._k == other._k and np.array_equal(self._array, other._array)
 
-    def labels_array(self) -> np.ndarray:
-        return self._array
+    def __hash__(self) -> int:
+        return hash((self._k, self._array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Clustering(labels={self.labels!r}, k={self._k})"
+
+
+def _first_occurrence_dense(arr: np.ndarray, hi: int) -> tuple[np.ndarray, int]:
+    """First-occurrence relabel of labels in [0, hi], through a value table."""
+    n = arr.shape[0]
+    first = np.full(hi + 1, n, dtype=np.int64)
+    np.minimum.at(first, arr, np.arange(n, dtype=np.int64))
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first[first < n]] = True
+    rank = np.cumsum(is_first, dtype=np.int64) - 1
+    return rank[first[arr]], int(rank[-1]) + 1
+
+
+def _first_occurrence_sorted(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """First-occurrence relabel of any int64 labels, by sorting."""
+    _, first_idx, inverse = np.unique(arr, return_index=True, return_inverse=True)
+    order = np.argsort(first_idx, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    return rank[inverse.reshape(-1)], int(order.shape[0])
 
 
 def normalize(labels: Sequence[int] | np.ndarray, n: int | None = None) -> Clustering:
     """Relabel a raw label sequence to contiguous ids by first occurrence.
 
-    Idempotent; preserves the induced partition.  Raises
-    :class:`LengthMismatch` when ``n`` is given and does not match.
+    Idempotent; preserves the induced partition.  Labels in [0, 4n) take a
+    linear path through a table indexed by label value; others are sorted.
+    Raises :class:`LengthMismatch` when ``n`` is given and does not match,
+    and :class:`InvalidArgument` for labels outside the int64 range.
     """
-    arr = np.asarray(labels, dtype=np.int64)
-    if arr.ndim != 1:
-        raise LengthMismatch("labels must be a flat sequence")
+    arr = _label_array(labels, copy=False)  # only read: the result is a new array
     if n is not None and arr.shape[0] != n:
         raise LengthMismatch(f"expected {n} labels, got {arr.shape[0]}")
     if arr.shape[0] == 0:
-        return Clustering(labels=(), k=0)
-    _, first_idx, inverse = np.unique(arr, return_index=True, return_inverse=True)
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.shape[0])
-    new = rank[inverse]
-    return Clustering(labels=tuple(new.tolist()), k=int(order.shape[0]))
+        return Clustering._adopt(np.empty(0, dtype=np.int64), 0)
+    lo, hi = int(arr.min()), int(arr.max())
+    if lo >= 0 and hi < _DENSE_FACTOR * arr.shape[0]:
+        new, k = _first_occurrence_dense(arr, hi)
+    else:
+        new, k = _first_occurrence_sorted(arr)
+    return Clustering._adopt(new, k)
 
 
 @dataclass(frozen=True)
@@ -194,27 +305,29 @@ class ClusterStats:
         return self.blue_count * self.q == self.red_count * self.p
 
 
+def _role_counts(instance: ColoredInstance, clustering: Clustering) -> tuple[np.ndarray, np.ndarray]:
+    """Blue-role and red-role point counts per cluster, from one bincount."""
+    key = clustering.labels_array() * 2 + instance.role_blue_mask
+    both = np.bincount(key, minlength=2 * clustering.k)
+    return both[1::2], both[0::2]
+
+
 def cluster_stats(instance: ColoredInstance, clustering: Clustering, cluster_id: int) -> ClusterStats:
     """Counts and surplus/deficit fields for one cluster."""
     if not 0 <= cluster_id < clustering.k:
         raise BadClusterId(f"cluster id {cluster_id} not in 0..{clustering.k - 1}")
-    pts = clustering.members[cluster_id]
-    blue = sum(1 for i in pts if instance.role_is_blue(i))
-    return ClusterStats.from_counts(len(pts) - blue, blue, instance.p, instance.q)
+    in_cluster = clustering.labels_array() == cluster_id
+    blue = int(np.count_nonzero(in_cluster & instance.role_blue_mask))
+    return ClusterStats.from_counts(int(np.count_nonzero(in_cluster)) - blue, blue, instance.p, instance.q)
 
 
 def all_stats(instance: ColoredInstance, clustering: Clustering) -> list[ClusterStats]:
     """Per-cluster stats for the whole clustering in one pass."""
     if clustering.k == 0:
         return []
-    labels = clustering.labels_array()
-    mask = instance.role_blue_mask
-    blue = np.bincount(labels[mask], minlength=clustering.k)
-    red = np.bincount(labels[~mask], minlength=clustering.k)
-    return [
-        ClusterStats.from_counts(int(r), int(b), instance.p, instance.q)
-        for r, b in zip(red, blue)
-    ]
+    blue, red = _role_counts(instance, clustering)
+    p, q = instance.p, instance.q
+    return [ClusterStats.from_counts(r, b, p, q) for r, b in zip(red.tolist(), blue.tolist())]
 
 
 def validate_feasible(instance: ColoredInstance) -> None:
@@ -239,11 +352,30 @@ def validate_balance_feasible(instance: ColoredInstance) -> None:
         )
 
 
+def _divides(counts: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``counts % m == 0`` and ``counts // m`` for counts in [0, n], any m >= 1.
+
+    A modulus above n acts like n + 1 on such counts, which keeps it in int64.
+    """
+    m = min(m, n + 1)
+    return counts % m == 0, counts // m
+
+
 def is_fair(instance: ColoredInstance, clustering: Clustering) -> bool:
-    """True when every cluster's blue:red ratio equals p/q exactly."""
-    return all(st.is_fair for st in all_stats(instance, clustering))
+    """True when every cluster's blue:red ratio equals p/q exactly.
+
+    With p, q coprime, blue * q == red * p exactly when p divides blue, q
+    divides red and the quotients agree; that form cannot overflow.
+    """
+    blue, red = _role_counts(instance, clustering)
+    b_ok, b_units = _divides(blue, instance.p, instance.n)
+    r_ok, r_units = _divides(red, instance.q, instance.n)
+    return bool(np.all(b_ok & r_ok & (b_units == r_units)))
 
 
 def is_balanced(instance: ColoredInstance, clustering: Clustering) -> bool:
     """True when every cluster has blue divisible by p and red by q."""
-    return all(st.is_balanced for st in all_stats(instance, clustering))
+    blue, red = _role_counts(instance, clustering)
+    blue_ok = _divides(blue, instance.p, instance.n)[0]
+    red_ok = _divides(red, instance.q, instance.n)[0]
+    return bool(np.all(blue_ok & red_ok))

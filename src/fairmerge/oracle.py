@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .distance import lmean
-from .errors import EmptyInput, InfeasibleFairness, TooLarge
+from .errors import EmptyInput, InfeasibleFairness, ParseError, TooLarge
 from .model import (
     Clustering,
     ColoredInstance,
@@ -41,7 +41,10 @@ def oracle_cap() -> int:
     cap = HARD_CAP
     env = os.environ.get("FAIRMERGE_ORACLE_CAP")
     if env:
-        cap = min(cap, int(env))
+        try:
+            cap = min(cap, int(env))
+        except ValueError:
+            raise ParseError(f"FAIRMERGE_ORACLE_CAP must be an integer, got {env!r}") from None
     return cap
 
 

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .balance_fractional import _balance_pq
 from .balance_integral import _balance_p
-from .distance import ConsensusObjective, dist_fast, lmean, objective_key
+from .distance import ConsensusObjective, check_exponent, dist_fast, dist_labels, lmean, objective_key
 from .errors import EmptyInput, InternalDeficitMismatch
 from .exact import _run_exact
 from .fairify import _make_clusters_fair
@@ -77,12 +76,10 @@ def closest_fair(
         else:
             _balance_pq(state)
         balance_cost = state.cost
-        mid = state.to_clustering()
+        mid = state.key_labels()
         _make_clusters_fair(state)
-        stage_distances = {"balance": balance_cost, "fairify": 0}
+        stage_distances = {"balance": balance_cost, "fairify": dist_labels(mid, state.key_labels())}
     out = state.to_clustering()
-    if "fairify" in stage_distances:
-        stage_distances["fairify"] = dist_fast(mid, out)
     if not is_fair(instance, out):
         raise InternalDeficitMismatch("pipeline produced an unfair clustering")
     report = GuaranteeReport(
@@ -107,8 +104,7 @@ def fair_consensus(
     """
     if not clusterings:
         raise EmptyInput("consensus over no clusterings")
-    if ell != math.inf and ell < 1:
-        raise ValueError("exponent must be >= 1 or inf")
+    check_exponent(ell)
     validate_feasible(instance)
     candidates = [closest_fair(instance, d)[0] for d in clusterings]
     dmat = [

@@ -10,8 +10,10 @@ is what makes transcripts auditable.
 
 from __future__ import annotations
 
+from array import array
 from bisect import insort
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -83,14 +85,32 @@ class _WorkCluster:
     __slots__ = ("reds", "blues", "origin")
 
     def __init__(self) -> None:
-        self.reds: list[int] = []
-        self.blues: list[int] = []
+        # point ids ascending, as machine ints: a point becomes a Python int
+        # only when a move reads it
+        self.reds = array("q")
+        self.blues = array("q")
         # baseline cluster id -> number of points from it currently here
         self.origin: dict[int, int] = {}
 
     @property
     def size(self) -> int:
         return len(self.reds) + len(self.blues)
+
+
+def _radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of non-negative int64 ``keys`` below ``bound``.
+
+    Least-significant-digit passes over 16-bit digits.  numpy sorts uint16
+    stably by counting, so each pass is linear where a comparison sort of
+    the int64 keys is not.
+    """
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    while bound > 1 << shift:
+        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
 
 
 class ClusterState:
@@ -105,23 +125,24 @@ class ClusterState:
     def __init__(self, instance: ColoredInstance, clustering: Clustering) -> None:
         self.instance = instance
         self.baseline = clustering
-        self._base_labels = list(clustering.labels)
+        self._base_labels = clustering.labels_array()
         self.transcript = Transcript()
         self.cost = 0
-        self.clusters: list[_WorkCluster] = [_WorkCluster() for _ in range(clustering.k)]
+        k = clustering.k
+        self.clusters: list[_WorkCluster] = [_WorkCluster() for _ in range(k)]
         if clustering.n:
-            labels = clustering.labels_array()
-            mask = instance.role_blue_mask
-            order = np.argsort(labels, kind="stable")
-            sorted_labels = labels[order]
-            bounds = np.searchsorted(sorted_labels, np.arange(clustering.k + 1))
-            for c in range(clustering.k):
-                seg = order[bounds[c] : bounds[c + 1]]
-                seg_blue = mask[seg]
-                wc = self.clusters[c]
-                wc.blues = seg[seg_blue].tolist()
-                wc.reds = seg[~seg_blue].tolist()
-                wc.origin = {c: int(seg.shape[0])}
+            # one (cluster, role) key per point; a stable sort by it lists
+            # each cluster's reds, then its blues, each ascending
+            key = self._base_labels * 2 + instance.role_blue_mask
+            flat = memoryview(_radix_argsort(key, 2 * k).astype(np.int64, copy=False)).cast("B")
+            ends = (8 * np.cumsum(np.bincount(key, minlength=2 * k))).tolist()  # byte offsets
+            start = 0
+            for c, wc in enumerate(self.clusters):
+                mid, end = ends[2 * c], ends[2 * c + 1]
+                wc.reds.frombytes(flat[start:mid])
+                wc.blues.frombytes(flat[mid:end])
+                wc.origin = {c: (end - start) // 8}
+                start = end
 
     # -- inspection ---------------------------------------------------
 
@@ -159,15 +180,16 @@ class ClusterState:
         if count > len(lst):
             raise ValueError(f"cluster {src} has only {len(lst)} {color} points")
         if from_low:
-            pts = lst[:count]
+            pts = lst[:count].tolist()
             del lst[:count]
         else:
-            pts = lst[-count:]
+            pts = lst[-count:].tolist()
             del lst[-count:]
 
         porig: dict[int, int] = {}
+        base = self._base_labels.item
         for u in pts:
-            g = self._base_labels[u]
+            g = base(u)
             porig[g] = porig.get(g, 0) + 1
         so = sc.origin
         for g, c in porig.items():
@@ -198,13 +220,23 @@ class ClusterState:
 
     # -- output -------------------------------------------------------
 
+    def key_labels(self) -> np.ndarray:
+        """Each point's current cluster key, as a fresh int64 array.
+
+        A point's key is its baseline label, or the destination of the last
+        move that carried it; the work is linear in the points moved, apart
+        from one copy of the baseline array.
+        """
+        out = self._base_labels.copy()
+        moves = self.transcript.moves
+        if moves:
+            pts = np.fromiter(chain.from_iterable(m.points for m in moves), dtype=np.int64)
+            sizes = np.fromiter((len(m.points) for m in moves), dtype=np.int64, count=len(moves))
+            dsts = np.fromiter((m.dst for m in moves), dtype=np.int64, count=len(moves))
+            dst = np.repeat(dsts, sizes)
+            last = pts.shape[0] - 1 - np.unique(pts[::-1], return_index=True)[1]
+            out[pts[last]] = dst[last]
+        return out
+
     def to_clustering(self) -> Clustering:
-        out = np.empty(self.baseline.n, dtype=np.int64)
-        for key, wc in enumerate(self.clusters):
-            if wc.size == 0:
-                continue
-            if wc.reds:
-                out[np.asarray(wc.reds, dtype=np.int64)] = key
-            if wc.blues:
-                out[np.asarray(wc.blues, dtype=np.int64)] = key
-        return normalize(out, self.baseline.n)
+        return normalize(self.key_labels(), self.baseline.n)

@@ -1,11 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from fairmerge import dist, dist_fast, lmean, normalize
-from fairmerge.distance import objective_key
-from fairmerge.errors import EmptyInput, SizeMismatch
+from fairmerge import ColoredInstance, dist, dist_fast, fair_consensus, lmean, normalize
+from fairmerge.distance import dist_labels, objective_key
+from fairmerge.errors import EmptyInput, InvalidArgument, SizeMismatch
 
 
 def test_dist_identity():
@@ -102,3 +103,34 @@ def test_objective_key_exact_integer_paths():
     assert objective_key([3, 4], 2) == 25
     # huge exponents stay exact through python ints
     assert objective_key([2, 2], 80) == 2 * 2**80
+
+
+def test_dist_labels_on_raw_arrays_matches_naive():
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        n = int(rng.integers(1, 80))
+        la = rng.integers(0, 1 + n // 3, n) * 7  # raw, unnormalized labels
+        lb = la.copy()
+        moved = rng.random(n) < rng.random()  # from nearly equal to unrelated
+        lb[moved] = rng.integers(0, 2 * n, int(moved.sum()))
+        expect = dist(normalize(la), normalize(lb))
+        assert dist_labels(la, lb) == expect, trial
+        assert dist_fast(normalize(la), normalize(lb)) == expect, trial
+
+
+def test_dist_fast_counts_beyond_int32_pairs():
+    n = 70_000  # one cluster of C(70000, 2) > 2**31 pairs
+    together = normalize(np.zeros(n, dtype=np.int64))
+    apart = normalize(np.arange(n))
+    assert n * (n - 1) // 2 > 2**31
+    assert dist_fast(together, apart) == n * (n - 1) // 2
+    halves = normalize(np.repeat([0, 1], n // 2))
+    assert dist_fast(together, halves) == (n // 2) ** 2
+
+
+def test_bad_exponents_are_library_errors():
+    for ell in (0.5, 0, -1, math.nan):
+        with pytest.raises(InvalidArgument):
+            lmean([1], ell)
+        with pytest.raises(InvalidArgument):
+            fair_consensus(ColoredInstance.from_colors("BR", 1, 1), [normalize([0, 0])], ell)

@@ -279,3 +279,54 @@ def test_cli_ell_accepts_decimals(workspace, tmp_path):
     assert json.loads(rep.read_text())["l"] == 2.5
     assert main(["consensus", str(paths["instance"]), str(paths["a"]),
                  "--l", "0.5", "--out", str(out)]) == 2
+
+
+# -- malformed files, flags and environment values ---------------------------
+
+_COLORS12 = "BBRBBRBBRBBR"
+
+BAD_INPUTS = [
+    # (case id, instance doc, labels doc, argv after the command, env)
+    ("ell-nan", None, None, ["consensus", "{inst}", "{a}", "--l", "nan", "--out", "{out}"], {}),
+    ("ell-below-one", None, None, ["consensus", "{inst}", "{a}", "--l", "0.5", "--out", "{out}"], {}),
+    ("ell-not-a-number", None, None, ["consensus", "{inst}", "{a}", "--l", "two", "--out", "{out}"], {}),
+    ("oracle-ell-nan", None, None, ["oracle", "{inst}", "{a}", "--mode", "consensus", "--l", "nan"], {}),
+    ("gen-elements-not-integers", None, None,
+     ["gen", "--kind", "reduction", "--s", "a,b", "--p", "2",
+      "--out-instance", "{out}", "--out-clustering", "{out2}"], {}),
+    ("oracle-cap-not-integer", None, None, ["oracle", "{inst}", "{a}"], {"FAIRMERGE_ORACLE_CAP": "abc"}),
+    ("labels-bool", None, {"labels": [True, False] * 6}, ["dist", "{inst}", "{bad}", "{a}"], {}),
+    ("label-beyond-int64", None, {"labels": [2**64 - 1] + [0] * 11}, ["dist", "{inst}", "{bad}", "{a}"], {}),
+    ("label-below-int64", None, {"labels": [-(2**63) - 1] + [0] * 11}, ["dist", "{inst}", "{bad}", "{a}"], {}),
+    ("labels-not-a-list", None, {"labels": "000000000000"}, ["dist", "{inst}", "{bad}", "{a}"], {}),
+    ("label-float", None, {"labels": [0.5] + [0] * 11}, ["dist", "{inst}", "{bad}", "{a}"], {}),
+    ("n-bool", {"n": True, "colors": "B", "p": 1, "q": 1}, None, ["dist", "{bad}", "{a}", "{a}"], {}),
+    ("p-bool", {"n": 12, "colors": _COLORS12, "p": True, "q": 1}, None, ["dist", "{bad}", "{a}", "{a}"], {}),
+    ("q-zero", {"n": 12, "colors": _COLORS12, "p": 2, "q": 0}, None, ["dist", "{bad}", "{a}", "{a}"], {}),
+    ("colors-lowercase", {"n": 12, "colors": _COLORS12.lower(), "p": 2, "q": 1}, None,
+     ["dist", "{bad}", "{a}", "{a}"], {}),
+    ("colors-not-a-string", {"n": 12, "colors": list(_COLORS12), "p": 2, "q": 1}, None,
+     ["dist", "{bad}", "{a}", "{a}"], {}),
+]
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS, ids=[c[0] for c in BAD_INPUTS])
+def test_cli_rejects_malformed_input_with_one_line(case, workspace, capsys, monkeypatch):
+    _, instance_doc, labels_doc, argv, env = case
+    tmp_path, paths, _, _, _ = workspace
+    bad = tmp_path / "bad.json"
+    if instance_doc is not None:
+        bad.write_text(json.dumps(instance_doc))
+    if labels_doc is not None:
+        bad.write_text(json.dumps(labels_doc))
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    names = {"inst": paths["instance"], "a": paths["a"], "bad": bad,
+             "out": tmp_path / "out.json", "out2": tmp_path / "out2.json"}
+    capsys.readouterr()
+    code = main([arg.format(**names) for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and out == ""
+    assert not (tmp_path / "out.json").exists()

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fairmerge import (
@@ -12,8 +13,14 @@ from fairmerge import (
     normalize,
     validate_feasible,
 )
-from fairmerge.errors import BadClusterId, InfeasibleFairness, LengthMismatch
-from fairmerge.model import ClusterStats
+from fairmerge.errors import (
+    BadClusterId,
+    FairmergeError,
+    InfeasibleFairness,
+    InvalidArgument,
+    LengthMismatch,
+)
+from fairmerge.model import ClusterStats, _first_occurrence_dense, _first_occurrence_sorted
 
 from support import counts_instance
 
@@ -148,3 +155,104 @@ def test_clustering_is_value_like():
     a = Clustering((0, 0, 1), 2)
     b = Clustering((0, 0, 1), 2)
     assert a == b
+    assert a == normalize([7, 7, 3]) and hash(a) == hash(b) == hash(normalize([7, 7, 3]))
+    assert a != Clustering((0, 1, 1), 2)
+    assert a != Clustering((0, 0, 1), 3)
+    assert a != (0, 0, 1)
+    assert len({a, b, Clustering((0, 1, 1), 2)}) == 2
+    assert repr(a) == "Clustering(labels=(0, 0, 1), k=2)"
+
+
+# -- array-native representation ---------------------------------------------
+
+
+def test_clustering_views_follow_the_array():
+    c = normalize([4, 2, 4, 9, 2])
+    arr = c.labels_array()
+    assert arr.dtype == np.int64 and arr.tolist() == [0, 1, 0, 2, 1]
+    assert c.labels == (0, 1, 0, 2, 1)
+    assert all(type(x) is int for x in c.labels)
+    assert c.members == ((0, 2), (1, 4), (3,))
+    assert (c.n, c.k) == (5, 3)
+    assert c.labels_array() is arr  # no copy per call
+
+
+def test_stored_arrays_are_read_only():
+    c = normalize([0, 1, 1])
+    with pytest.raises(ValueError):
+        c.labels_array()[0] = 1
+    source = np.array([0, 0, 1])
+    built = Clustering(source, 2)
+    source[0] = 1  # the clustering owns a copy
+    assert built.labels == (0, 0, 1)
+    for colors in ("BBR", "RRB"):  # unswapped and swapped roles
+        inst = ColoredInstance.from_colors(colors, 2, 1)
+        with pytest.raises(ValueError):
+            inst.blue_mask[0] = False
+        with pytest.raises(ValueError):
+            inst.role_blue_mask[0] = False
+
+
+def test_from_colors_builds_identical_instances_from_every_spelling():
+    text = "BRBBRBBBRR"
+    spellings = [
+        text,
+        text.lower(),
+        list(text),
+        tuple(Color.BLUE if c == "B" else Color.RED for c in text),
+    ]
+    built = [ColoredInstance.from_colors(s, 3, 2) for s in spellings]
+    for inst in built:
+        assert inst.blue_mask.tolist() == [c == "B" for c in text]
+        assert (inst.swapped, inst.p, inst.q, inst.given_p, inst.given_q) == (False, 3, 2, 3, 2)
+        assert inst == built[0] and hash(inst) == hash(built[0])
+        assert inst.color_string() == text
+        assert "".join(c.value for c in inst.colors) == text
+
+
+def test_from_colors_rejects_bad_input_with_library_errors():
+    for colors, p, q in [("BRX", 1, 1), (["B", "G"], 1, 1), ("BRé", 1, 1), ("BR", 0, 1),
+                         ("BR", 1, -2), ("BR", True, 1), ("BR", 1.0, 1)]:
+        with pytest.raises(InvalidArgument):
+            ColoredInstance.from_colors(colors, p, q)
+    assert issubclass(InvalidArgument, FairmergeError)
+
+
+def _first_occurrence_reference(raw):
+    seen = {}
+    return [seen.setdefault(x, len(seen)) for x in raw]
+
+
+def test_normalize_dense_path_and_sorting_fallback_agree():
+    rnd = np.random.default_rng(17)
+    for trial in range(60):
+        n = int(rnd.integers(1, 40))
+        raw = rnd.integers(0, 4 * n, n)  # inside the dense range
+        dense, k_dense = _first_occurrence_dense(raw, int(raw.max()))
+        fallback, k_sorted = _first_occurrence_sorted(raw)
+        assert dense.tolist() == fallback.tolist() == _first_occurrence_reference(raw.tolist())
+        assert k_dense == k_sorted == len(set(raw.tolist()))
+    lo, hi = -(2**63), 2**63 - 1
+    for raw in ([-5, 3, -5, 0], [10**6, 0, 10**6], [hi, lo, hi, 0, lo], [lo], [hi, hi]):
+        c = normalize(raw)  # outside [0, 4n): sorted fallback
+        assert list(c.labels) == _first_occurrence_reference(raw), raw
+        assert c.k == len(set(raw))
+
+
+def test_normalize_rejects_labels_outside_int64():
+    for raw in ([0, 2**63], [-(2**63) - 1], [0, 2**64 - 1]):
+        with pytest.raises(InvalidArgument):
+            normalize(raw)
+
+
+def test_is_fair_and_is_balanced_match_per_cluster_stats():
+    for seed in range(40):
+        p, q = [(1, 1), (2, 1), (3, 2), (5, 3)][seed % 4]
+        inst, clu = gen_random((p + q) * 4, p, q, 1 + seed % 7, seed=seed)
+        stats = all_stats(inst, clu)
+        assert is_fair(inst, clu) == all(st.is_fair for st in stats)
+        assert is_balanced(inst, clu) == all(st.is_balanced for st in stats)
+    # a ratio part beyond n must not overflow the int64 comparison
+    inst = ColoredInstance.from_colors("BBR", 2**70, 1)
+    assert not is_fair(inst, normalize([0, 0, 0]))
+    assert not is_balanced(inst, normalize([0, 1, 1]))
