@@ -12,6 +12,7 @@ from .model import (
     ClusterStats,
     Color,
     ColoredInstance,
+    StatsColumns,
     all_stats,
     cluster_stats,
     is_balanced,
@@ -49,6 +50,7 @@ __all__ = [
     "OracleResult",
     "ReductionInstance",
     "SplitMix64",
+    "StatsColumns",
     "Transcript",
     "all_stats",
     "balance_p",

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from enum import Enum
 
+import numpy as np
+
 from .errors import InfeasibleFairness, InternalDeficitMismatch
 from .model import Clustering, ColoredInstance, all_stats
 from .mergeloop import make_donor_blocks, pack_extras, run_merge_subsets
@@ -33,16 +35,10 @@ def detect_case(instance: ColoredInstance, clustering: Clustering) -> CaseTag:
     colors tie the residue is empty and counts as cut-cut.
     """
     p, q = instance.p, instance.q
-    rc = rm = bc = bm = 0
-    for st in all_stats(instance, clustering):
-        if 2 * st.s_r <= q:
-            rc += st.s_r
-        else:
-            rm += q - st.s_r
-        if 2 * st.s_b <= p:
-            bc += st.s_b
-        else:
-            bm += p - st.s_b
+    stats = all_stats(instance, clustering)
+    r_cut, b_cut = 2 * stats.s_r <= q, 2 * stats.s_b <= p
+    rc, rm = int(stats.s_r[r_cut].sum()), int(stats.d_r[~r_cut].sum())
+    bc, bm = int(stats.s_b[b_cut].sum()), int(stats.d_b[~b_cut].sum())
     if rc >= rm and bc >= bm:
         return CaseTag.CUT_CUT
     if rc > rm and bc < bm:
@@ -98,19 +94,16 @@ def _balance_pq(state: ClusterState) -> None:
     case = detect_case(instance, state.baseline)
     state.transcript.meta["case"] = case.value
 
-    rcut = [c for c, st in enumerate(stats0) if 0 < 2 * st.s_r <= q]
-    rmerge = _sorted_merge_live(
-        state, [c for c, st in enumerate(stats0) if 2 * st.s_r > q], "red", q
-    )
-    rnew = [c for c, st in enumerate(stats0) if st.s_r == 0]
+    s_r, s_b = stats0.s_r, stats0.s_b
+    rcut = np.flatnonzero((s_r > 0) & (2 * s_r <= q)).tolist()
+    rmerge = _sorted_merge_live(state, np.flatnonzero(2 * s_r > q).tolist(), "red", q)
+    rnew = np.flatnonzero(s_r == 0).tolist()
     rex, rcut_rem, rmerge_rem = _transfer_phase(state, "red", q, rcut, rmerge)
     rnew += rex
 
-    bcut = [c for c, st in enumerate(stats0) if 0 < 2 * st.s_b <= p]
-    bmerge = _sorted_merge_live(
-        state, [c for c, st in enumerate(stats0) if 2 * st.s_b > p], "blue", p
-    )
-    bnew = [c for c, st in enumerate(stats0) if st.s_b == 0]
+    bcut = np.flatnonzero((s_b > 0) & (2 * s_b <= p)).tolist()
+    bmerge = _sorted_merge_live(state, np.flatnonzero(2 * s_b > p).tolist(), "blue", p)
+    bnew = np.flatnonzero(s_b == 0).tolist()
     bex, bcut_rem, bmerge_rem = _transfer_phase(state, "blue", p, bcut, bmerge)
     bnew += bex
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InfeasibleFairness, SubsetOutOfRange, SurplusNotMultipleOfP, WrongRatio
-from .model import Clustering, ClusterStats, ColoredInstance, all_stats
+from .model import Clustering, ClusterStats, ColoredInstance, StatsColumns, all_stats
 from .mergeloop import make_donor_blocks, pack_extras, run_merge_subsets
 from .transcript import ClusterState, Transcript
 
@@ -60,29 +62,25 @@ def subset_cost(
     return SubsetCost(cluster_id=cluster_id, z=z, size=p, cost=cost)
 
 
-def _sorted_merge_keys(keys: list[int], stats: list[ClusterStats], p: int) -> list[int]:
-    def sortkey(c: int) -> tuple[int, int]:
-        cut, merge = cut_merge_costs(stats[c], p)
-        return (-(cut - merge), c)
+def _sorted_merge_keys(keys: np.ndarray, stats: StatsColumns) -> list[int]:
+    """Ascending ``keys`` by non-increasing cut cost minus merge cost.
 
-    return sorted(keys, key=sortkey)
+    The costs are :func:`cut_merge_costs` of each cluster, read from the
+    columns; the stable sort breaks ties by key.
+    """
+    s, size = stats.s_b[keys], stats.size[keys]
+    gain = s * (size - s) - stats.d_b[keys] * size
+    return keys[np.argsort(-gain, kind="stable")].tolist()
 
 
 def _balance_p(state: ClusterState) -> None:
     instance = state.instance
     p = instance.p
     stats = all_stats(instance, state.baseline)
-    cut: list[int] = []
-    merge: list[int] = []
-    newcut: list[int] = []
-    for c, st in enumerate(stats):
-        if st.s_b == 0:
-            newcut.append(c)
-        elif 2 * st.s_b <= p:
-            cut.append(c)
-        else:
-            merge.append(c)
-    merge = _sorted_merge_keys(merge, stats, p)
+    s_b = stats.s_b
+    newcut = np.flatnonzero(s_b == 0).tolist()
+    cut = np.flatnonzero((s_b > 0) & (2 * s_b <= p)).tolist()
+    merge = _sorted_merge_keys(np.flatnonzero(2 * s_b > p), stats)
 
     di = mi = 0
     while di < len(cut) and mi < len(merge):
@@ -148,7 +146,7 @@ def algo_for_merge(instance: ColoredInstance, clustering: Clustering) -> tuple[C
     """
     p = instance.p
     stats = all_stats(instance, clustering)
-    merge_rem = _sorted_merge_keys([c for c, st in enumerate(stats) if st.s_b], stats, p)
+    merge_rem = _sorted_merge_keys(np.flatnonzero(stats.s_b), stats)
     state = ClusterState(instance, clustering)
     donors = {
         c: make_donor_blocks(state, c, "blue", p, 0, is_receiver=(stats[c].s_b > 0))

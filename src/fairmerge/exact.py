@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import UnbalancedTotals, WrongRatio
 from .model import Clustering, ColoredInstance, all_stats, validate_feasible
 from .transcript import ClusterState, Transcript
@@ -120,12 +122,12 @@ def _run_exact(state: ClusterState) -> None:
     instance = state.instance
     reds: list[tuple[int, int, int]] = []  # (size, origin, state key)
     blues: list[tuple[int, int, int]] = []
-    for c, st in enumerate(all_stats(instance, state.baseline)):
-        if st.blue_count == st.red_count:
-            continue
-        color = "blue" if st.blue_count > st.red_count else "red"
-        excess = abs(st.blue_count - st.red_count)
-        if min(st.blue_count, st.red_count) == 0:
+    stats = all_stats(instance, state.baseline)
+    uneven = np.flatnonzero(stats.blue != stats.red)
+    for c, b, r in zip(uneven.tolist(), stats.blue[uneven].tolist(), stats.red[uneven].tolist()):
+        color = "blue" if b > r else "red"
+        excess = abs(b - r)
+        if min(b, r) == 0:
             key = c  # the whole cluster is the leftover block; no move needed
         else:
             key = state.new_cluster()

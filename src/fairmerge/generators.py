@@ -11,6 +11,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import Infeasible, NotDivisibleBy3, OutOfRangeElement
 from .model import Clustering, Color, ColoredInstance, normalize
 
@@ -40,13 +42,48 @@ class SplitMix64:
             xs[i], xs[j] = xs[j], xs[i]
 
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def splitmix64_draws(seed: int, start: int, count: int) -> np.ndarray:
+    """Draws ``start .. start + count - 1`` of ``SplitMix64(seed)`` as uint64.
+
+    The walk has the closed form state_i = seed + (i + 1) * gamma mod 2^64,
+    and uint64 arithmetic wraps the same way, so the whole stream is a few
+    array operations.  Only ``np.uint64`` scalars meet the arrays: mixing a
+    uint64 array with a Python int promotes to float64 on older numpy.
+    """
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(seed & _MASK)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _shuffled(xs: list, seed: int, start: int) -> list:
+    """``SplitMix64.shuffle`` of ``xs`` on draws from ``start``, in place."""
+    top = len(xs) - 1
+    bounds = np.arange(top + 1, 1, -1, dtype=np.uint64)  # i + 1 for i = top .. 1
+    for i, j in zip(range(top, 0, -1), (splitmix64_draws(seed, start, top) % bounds).tolist()):
+        xs[i], xs[j] = xs[j], xs[i]
+    return xs
+
+
 def gen_random(
     n: int, p: int, q: int, k_clusters: int, seed: int
 ) -> tuple[ColoredInstance, Clustering]:
     """Random feasible instance plus a random clustering, fixed by the seed.
 
     Color totals are set exactly to the ratio (n must split into p + q
-    shares after reduction); points land in k nonempty clusters.
+    shares after reduction); points land in k nonempty clusters.  The
+    draws are those of one ``SplitMix64(seed)``: a shuffle of the colors,
+    a shuffle of the point order, then one label per remaining point.
     """
     g = math.gcd(p, q)
     p, q = p // g, q // g
@@ -56,17 +93,14 @@ def gen_random(
         raise Infeasible(f"n = {n} does not split into exact {p}:{q} totals")
     if not 1 <= k_clusters <= n:
         raise Infeasible(f"cannot form {k_clusters} nonempty clusters of {n} points")
-    rng = SplitMix64(seed)
     t = n // (p + q)
-    colors = [Color.BLUE] * (p * t) + [Color.RED] * (q * t)
-    rng.shuffle(colors)
-    order = list(range(n))
-    rng.shuffle(order)
-    labels = [0] * n
-    for lab in range(k_clusters):
-        labels[order[lab]] = lab
-    for i in range(k_clusters, n):
-        labels[order[i]] = rng.below(k_clusters)
+    blue = np.array(_shuffled([True] * (p * t) + [False] * (q * t), seed, 0), dtype=bool)
+    order = np.array(_shuffled(list(range(n)), seed, n - 1), dtype=np.int64)
+    labels = np.empty(n, dtype=np.int64)
+    labels[order[:k_clusters]] = np.arange(k_clusters)
+    drawn = splitmix64_draws(seed, 2 * (n - 1), n - k_clusters) % np.uint64(k_clusters)
+    labels[order[k_clusters:]] = drawn.astype(np.int64)
+    colors = np.where(blue, ord("B"), ord("R")).astype(np.uint8).tobytes().decode("ascii")
     instance = ColoredInstance.from_colors(colors, p, q)
     return instance, normalize(labels, n)
 

@@ -11,10 +11,10 @@ so.  All algorithms downstream rely on p >= q.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -321,13 +321,47 @@ def cluster_stats(instance: ColoredInstance, clustering: Clustering, cluster_id:
     return ClusterStats.from_counts(int(np.count_nonzero(in_cluster)) - blue, blue, instance.p, instance.q)
 
 
-def all_stats(instance: ColoredInstance, clustering: Clustering) -> list[ClusterStats]:
-    """Per-cluster stats for the whole clustering in one pass."""
-    if clustering.k == 0:
-        return []
+def _residues(counts: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``counts % m`` and the deficit to the next multiple, for counts in [0, n].
+
+    Exact for any modulus m >= 1: one above int64 makes the deficits
+    Python ints.
+    """
+    s = counts % min(m, n + 1)
+    gap = m - (s if m < 2**62 else s.astype(object))
+    return s, np.where(s > 0, gap, 0)
+
+
+class StatsColumns(Sequence):
+    """Per-cluster stats as read-only numpy columns, one entry per cluster.
+
+    ``red``, ``blue``, ``s_r``, ``s_b``, ``d_r``, ``d_b`` and ``size`` carry
+    the :class:`ClusterStats` fields of every cluster; item ``i`` builds
+    cluster ``i``'s ``ClusterStats`` only when it is read.
+    """
+
+    def __init__(self, red: np.ndarray, blue: np.ndarray, p: int, q: int, n: int) -> None:
+        self.p, self.q = p, q
+        self.red, self.blue = red, blue
+        self.s_r, self.d_r = _residues(red, q, n)
+        self.s_b, self.d_b = _residues(blue, p, n)
+        self.size = red + blue
+        for col in (self.red, self.blue, self.s_r, self.s_b, self.d_r, self.d_b, self.size):
+            col.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.red.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return ClusterStats.from_counts(int(self.red[i]), int(self.blue[i]), self.p, self.q)
+
+
+def all_stats(instance: ColoredInstance, clustering: Clustering) -> StatsColumns:
+    """Per-cluster stats for the whole clustering in one pass, as columns."""
     blue, red = _role_counts(instance, clustering)
-    p, q = instance.p, instance.q
-    return [ClusterStats.from_counts(r, b, p, q) for r, b in zip(red.tolist(), blue.tolist())]
+    return StatsColumns(red, blue, instance.p, instance.q, instance.n)
 
 
 def validate_feasible(instance: ColoredInstance) -> None:

@@ -67,30 +67,36 @@ def closest_fair(
     regime = _regime(instance)
     alpha, beta, composed = _REGIMES[regime]
     state = ClusterState(instance, clustering)
+    transcript = state.transcript
     if regime == "exact":
         _run_exact(state)
-        stage_distances = {"exact": state.cost}
     else:
         if regime == "p:1":
             _balance_p(state)
         else:
             _balance_pq(state)
-        balance_cost = state.cost
+        balance_moves = transcript.move_count
         mid = state.key_labels()
         _make_clusters_fair(state)
-        stage_distances = {"balance": balance_cost, "fairify": dist_labels(mid, state.key_labels())}
+        fairify_distance = dist_labels(mid, state.key_labels())
     out = state.to_clustering()
     if not is_fair(instance, out):
         raise InternalDeficitMismatch("pipeline produced an unfair clustering")
+    costs = transcript.costs  # every move priced in one pass
+    achieved = int(costs.sum())
+    if regime == "exact":
+        stage_distances = {"exact": achieved}
+    else:
+        stage_distances = {"balance": int(costs[:balance_moves].sum()), "fairify": fairify_distance}
     report = GuaranteeReport(
         regime=regime,
         alpha=alpha,
         beta=beta,
         composed_factor=composed,
-        achieved_distance=state.cost,
+        achieved_distance=achieved,
         stage_distances=stage_distances,
     )
-    return out, report, state.transcript
+    return out, report, transcript
 
 
 def fair_consensus(

@@ -1,22 +1,23 @@
 """Replayable move records and the mutable cluster state behind the algorithms.
 
 Every rebalancing algorithm works by moving sets of same-colored points
-between clusters.  ``ClusterState`` applies those moves and prices each one
-exactly: the recorded cost of a move is the change it causes in the
-pairwise-disagreement distance to a fixed baseline clustering.  Because the
-costs telescope, their sum always equals dist(baseline, final state), which
-is what makes transcripts auditable.
+between clusters.  ``ClusterState`` applies those moves and appends each
+one to its transcript's log, as plain integers.  The log prices all of its
+moves together when a cost is first asked for: the cost of a move is the
+exact change it causes in the pairwise-disagreement distance to a fixed
+baseline clustering.  Because the costs telescope, their sum always equals
+dist(baseline, final state), which is what makes transcripts auditable.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import insort
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BadClusterId, InvalidArgument
 from .model import Clustering, ColoredInstance, normalize
 
 
@@ -25,7 +26,7 @@ class Move:
     """One transfer of ``points`` from cluster ``src`` to cluster ``dst``.
 
     ``cost`` is the exact change in distance to the transcript's baseline
-    caused by this move, computed at the moment it was applied.
+    caused by this move, given every move logged before it.
     """
 
     points: tuple[int, ...]
@@ -34,24 +35,201 @@ class Move:
     cost: int
 
 
-@dataclass
-class Transcript:
-    """Ordered list of moves an algorithm performed, plus run statistics."""
+def _earlier_sums(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per item, the sum of ``values`` over the earlier items with its key."""
+    order = np.argsort(keys, kind="stable")
+    k, v = keys[order], values[order]
+    before = np.cumsum(v) - v
+    starts = np.ones(k.shape[0], dtype=bool)
+    starts[1:] = k[1:] != k[:-1]
+    group_start = np.maximum.accumulate(np.where(starts, np.arange(k.shape[0]), 0))
+    out = np.empty_like(v)
+    out[order] = before - before[group_start]
+    return out
 
-    moves: list[Move] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.column_stack((a, b)).ravel()
+
+
+class _MoveLog:
+    """Moves as int64 columns, priced together on demand.
+
+    Move ``i`` carried the next ``count[i]`` entries of ``points`` from
+    cluster ``src[i]`` to ``dst[i]``.  Pricing needs only the baseline
+    labels and cluster sizes, so the log does not keep the state alive.
+    """
+
+    __slots__ = ("src", "dst", "count", "points", "_base_labels", "_base_sizes", "_costs")
+
+    def __init__(self, base_labels: np.ndarray, base_sizes: np.ndarray) -> None:
+        self.src = array("q")
+        self.dst = array("q")
+        self.count = array("q")
+        self.points = array("q")
+        self._base_labels = base_labels
+        self._base_sizes = base_sizes
+        self._costs = np.empty(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def record(self, src: int, dst: int, pts: array) -> None:
+        self.src.append(src)
+        self.dst.append(dst)
+        self.count.append(len(pts))
+        self.points.extend(pts)
+
+    def costs(self) -> np.ndarray:
+        """Read-only int64 cost of every logged move, priced once per log length."""
+        if self._costs.shape[0] != len(self.src):
+            self._costs = self._price()
+            self._costs.flags.writeable = False
+        return self._costs
+
+    def _price(self) -> np.ndarray:
+        """Cost of each move: 2 m_src - c |src after| + c |dst before| - 2 m_dst.
+
+        ``c`` points leave src and join dst; ``m_src`` counts the pairs of a
+        moved point and a point left behind that share a baseline cluster,
+        ``m_dst`` the same pairs with the points already in dst.  Both, and
+        the cluster sizes, come from exclusive prefix sums over the log,
+        grouped by cluster and by (cluster, baseline cluster).
+        """
+        # np.array copies: a view of a log array would stop it from growing
+        src, dst, cnt = (np.array(a, dtype=np.int64) for a in (self.src, self.dst, self.count))
+        m = src.shape[0]
+        if m == 0:
+            return np.empty(0, dtype=np.int64)
+        base = self._base_sizes
+        k = base.shape[0]
+        size = np.zeros(max(k, int(src.max()) + 1, int(dst.max()) + 1), dtype=np.int64)
+        size[:k] = base
+        # net points a cluster gained in the moves before this one
+        gained = _earlier_sums(_interleave(src, dst), _interleave(-cnt, cnt)).reshape(m, 2)
+        src_after = size[src] + gained[:, 0] - cnt
+        dst_before = size[dst] + gained[:, 1]
+
+        # (move, baseline cluster) groups: w points of origin g in move mv
+        mv = np.repeat(np.arange(m, dtype=np.int64), cnt)
+        origin = self._base_labels[np.array(self.points, dtype=np.int64)]
+        pair, w = np.unique(mv * k + origin, return_counts=True)
+        mv, g = np.divmod(pair, k)
+        s, d = src[mv], dst[mv]
+        # the same per (cluster, origin); a cluster starts with its own points
+        gained = _earlier_sums(_interleave(s * k + g, d * k + g), _interleave(-w, w)).reshape(-1, 2)
+        in_src = np.where(s == g, base[g], 0) + gained[:, 0] - w  # after the move
+        in_dst = np.where(d == g, base[g], 0) + gained[:, 1]  # before the move
+        first = np.flatnonzero(np.diff(mv, prepend=-1))
+        m_src = np.add.reduceat(w * in_src, first)
+        m_dst = np.add.reduceat(w * in_dst, first)
+        return 2 * m_src - cnt * src_after + cnt * dst_before - 2 * m_dst
+
+
+class _MoveList(list):
+    """The logged moves as ``Move`` objects, built on first read.
+
+    Every read through the list catches up with moves logged since, in
+    place, so a list taken mid-run is complete whenever it is read again.
+    """
+
+    __slots__ = ("_log", "_offset")
+
+    def __init__(self, log: _MoveLog) -> None:
+        super().__init__()
+        self._log = log
+        self._offset = 0  # points of the moves already built
+
+    def _catch_up(self) -> None:
+        log, done = self._log, list.__len__(self)
+        if done == len(log):
+            return
+        pts = log.points[self._offset:].tolist()
+        costs = log.costs()[done:].tolist()
+        new, o = [], 0
+        for s, d, c, cost in zip(log.src[done:], log.dst[done:], log.count[done:], costs):
+            new.append(Move(tuple(pts[o:o + c]), s, d, cost))
+            o += c
+        self._offset += o
+        self.extend(new)
+
+    def __len__(self) -> int:
+        self._catch_up()
+        return list.__len__(self)
+
+    def __getitem__(self, i):
+        self._catch_up()
+        return list.__getitem__(self, i)
+
+    def __iter__(self):
+        self._catch_up()
+        return list.__iter__(self)
+
+    def __reversed__(self):
+        self._catch_up()
+        return list.__reversed__(self)
+
+    def __contains__(self, item) -> bool:
+        self._catch_up()
+        return list.__contains__(self, item)
+
+    def __eq__(self, other):
+        self._catch_up()
+        if isinstance(other, _MoveList):
+            other._catch_up()
+        return list.__eq__(self, other)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        self._catch_up()
+        return list.__repr__(self)
+
+
+class Transcript:
+    """The moves an algorithm performed, as a compact log, plus run statistics.
+
+    The log holds each move's source, destination and points as int64
+    columns; all costs are priced in one vectorized pass when first asked
+    for, and ``moves`` builds the :class:`Move` objects on first read.
+    """
+
+    def __init__(self, base_labels: np.ndarray, base_sizes: np.ndarray) -> None:
+        self.meta: dict = {}
+        self._log = _MoveLog(base_labels, base_sizes)
+        self._moves: _MoveList | None = None
+
+    @property
+    def moves(self) -> list[Move]:
+        """The moves in order; one list, extended in place as moves are logged."""
+        if self._moves is None:
+            self._moves = _MoveList(self._log)
+        return self._moves
+
+    @property
+    def move_count(self) -> int:
+        return len(self._log)
+
+    @property
+    def costs(self) -> np.ndarray:
+        """Read-only int64 array: the cost of each move, in order."""
+        return self._log.costs()
 
     @property
     def total_cost(self) -> int:
-        return sum(m.cost for m in self.moves)
+        return int(self._log.costs().sum())
 
     def replay(self, baseline: Clustering) -> tuple[Clustering, int]:
         """Re-apply the moves from ``baseline`` and re-price them naively.
 
         Returns the reconstructed final clustering and the recomputed total
         cost.  The pricing here iterates real point pairs, independently of
-        the counter arithmetic used while recording, so agreement between
-        the two is a genuine cross-check.
+        the prefix-sum arithmetic of the log, so agreement between the two
+        is a genuine cross-check.
         """
         clusters: dict[int, set[int]] = {
             c: set(pts) for c, pts in enumerate(baseline.members)
@@ -82,15 +260,13 @@ class Transcript:
 
 
 class _WorkCluster:
-    __slots__ = ("reds", "blues", "origin")
+    __slots__ = ("reds", "blues")
 
     def __init__(self) -> None:
         # point ids ascending, as machine ints: a point becomes a Python int
         # only when a move reads it
         self.reds = array("q")
         self.blues = array("q")
-        # baseline cluster id -> number of points from it currently here
-        self.origin: dict[int, int] = {}
 
     @property
     def size(self) -> int:
@@ -126,23 +302,25 @@ class ClusterState:
         self.instance = instance
         self.baseline = clustering
         self._base_labels = clustering.labels_array()
-        self.transcript = Transcript()
-        self.cost = 0
         k = clustering.k
         self.clusters: list[_WorkCluster] = [_WorkCluster() for _ in range(k)]
+        sizes = np.zeros(k, dtype=np.int64)
         if clustering.n:
             # one (cluster, role) key per point; a stable sort by it lists
             # each cluster's reds, then its blues, each ascending
             key = self._base_labels * 2 + instance.role_blue_mask
             flat = memoryview(_radix_argsort(key, 2 * k).astype(np.int64, copy=False)).cast("B")
-            ends = (8 * np.cumsum(np.bincount(key, minlength=2 * k))).tolist()  # byte offsets
+            counts = np.bincount(key, minlength=2 * k)
+            sizes = counts[0::2] + counts[1::2]
+            ends = (8 * np.cumsum(counts)).tolist()  # byte offsets
             start = 0
             for c, wc in enumerate(self.clusters):
                 mid, end = ends[2 * c], ends[2 * c + 1]
                 wc.reds.frombytes(flat[start:mid])
                 wc.blues.frombytes(flat[mid:end])
-                wc.origin = {c: (end - start) // 8}
                 start = end
+        self.transcript = Transcript(self._base_labels, sizes)
+        self._log = self.transcript._log
 
     # -- inspection ---------------------------------------------------
 
@@ -164,59 +342,39 @@ class ClusterState:
         self.clusters.append(_WorkCluster())
         return len(self.clusters) - 1
 
-    def move(self, src: int, dst: int, color: str, count: int, from_low: bool = False) -> int:
-        """Move ``count`` points of ``color`` from src to dst; returns the cost.
+    def move(self, src: int, dst: int, color: str, count: int, from_low: bool = False) -> None:
+        """Move ``count`` points of ``color`` from src to dst and log the move.
 
         Takes the highest point ids by default, the lowest when ``from_low``.
-        The cost is the exact change in distance to the baseline, computed
-        from per-cluster origin counters.
+        The move is priced later, with the whole log.  Raises
+        :class:`BadClusterId` for a key that names no cluster and
+        :class:`InvalidArgument` for src == dst or a count src cannot give;
+        the state and the log are then unchanged.
         """
         if count == 0:
-            return 0
+            return
+        clusters = self.clusters
+        if not (0 <= src < len(clusters) and 0 <= dst < len(clusters)):
+            raise BadClusterId(f"move from {src} to {dst}: keys are 0..{len(clusters) - 1}")
         if src == dst:
-            raise ValueError("move within one cluster")
-        sc = self.clusters[src]
+            raise InvalidArgument(f"move within cluster {src}")
+        sc, dc = clusters[src], clusters[dst]
         lst = sc.blues if color == "blue" else sc.reds
-        if count > len(lst):
-            raise ValueError(f"cluster {src} has only {len(lst)} {color} points")
+        if not 0 < count <= len(lst):
+            raise InvalidArgument(f"cannot move {count} {color} points: cluster {src} has {len(lst)}")
         if from_low:
-            pts = lst[:count].tolist()
+            pts = lst[:count]
             del lst[:count]
         else:
-            pts = lst[-count:].tolist()
+            pts = lst[-count:]
             del lst[-count:]
-
-        porig: dict[int, int] = {}
-        base = self._base_labels.item
-        for u in pts:
-            g = base(u)
-            porig[g] = porig.get(g, 0) + 1
-        so = sc.origin
-        for g, c in porig.items():
-            left = so[g] - c
-            if left:
-                so[g] = left
-            else:
-                del so[g]
-
-        dc = self.clusters[dst]
-        m_src = sum(c * so.get(g, 0) for g, c in porig.items())
-        m_dst = sum(c * dc.origin.get(g, 0) for g, c in porig.items())
-        delta = 2 * m_src - count * sc.size + count * dc.size - 2 * m_dst
-
         tgt = dc.blues if color == "blue" else dc.reds
         if not tgt or pts[0] > tgt[-1]:
             tgt.extend(pts)
         else:
             for u in pts:
                 insort(tgt, u)
-        do = dc.origin
-        for g, c in porig.items():
-            do[g] = do.get(g, 0) + c
-
-        self.cost += delta
-        self.transcript.moves.append(Move(tuple(pts), src, dst, delta))
-        return delta
+        self._log.record(src, dst, pts)
 
     # -- output -------------------------------------------------------
 
@@ -228,12 +386,10 @@ class ClusterState:
         from one copy of the baseline array.
         """
         out = self._base_labels.copy()
-        moves = self.transcript.moves
-        if moves:
-            pts = np.fromiter(chain.from_iterable(m.points for m in moves), dtype=np.int64)
-            sizes = np.fromiter((len(m.points) for m in moves), dtype=np.int64, count=len(moves))
-            dsts = np.fromiter((m.dst for m in moves), dtype=np.int64, count=len(moves))
-            dst = np.repeat(dsts, sizes)
+        log = self._log
+        if len(log):
+            pts = np.array(log.points, dtype=np.int64)
+            dst = np.repeat(np.array(log.dst, dtype=np.int64), np.array(log.count, dtype=np.int64))
             last = pts.shape[0] - 1 - np.unique(pts[::-1], return_index=True)[1]
             out[pts[last]] = dst[last]
         return out

@@ -8,6 +8,7 @@ from fairmerge import (
     validate_feasible,
 )
 from fairmerge.errors import Infeasible, NotDivisibleBy3, OutOfRangeElement
+from fairmerge.generators import splitmix64_draws
 
 from support import has_three_partition
 
@@ -22,6 +23,15 @@ def test_splitmix64_reference_stream():
     rng0 = SplitMix64(0)
     assert rng0.next_u64() == 16294208416658607535
     assert rng0.next_u64() == 7960286522194355700
+
+
+def test_vectorized_splitmix_draws_match_the_reference_stream():
+    for seed in (0, 1, 2**64 - 1):
+        rng = SplitMix64(seed)
+        reference = [rng.next_u64() for _ in range(300)]
+        assert splitmix64_draws(seed, 0, 300).tolist() == reference
+        assert splitmix64_draws(seed, 123, 100).tolist() == reference[123:223]
+    assert splitmix64_draws(5, 0, 0).tolist() == []
 
 
 def test_gen_random_deterministic():

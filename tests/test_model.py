@@ -256,3 +256,25 @@ def test_is_fair_and_is_balanced_match_per_cluster_stats():
     inst = ColoredInstance.from_colors("BBR", 2**70, 1)
     assert not is_fair(inst, normalize([0, 0, 0]))
     assert not is_balanced(inst, normalize([0, 1, 1]))
+
+
+def test_all_stats_columns_and_items_match_cluster_stats():
+    for seed in range(30):
+        p, q = [(1, 1), (2, 1), (3, 2), (5, 3)][seed % 4]
+        inst, clu = gen_random((p + q) * 5, p, q, 1 + seed % 9, seed=seed)
+        stats = all_stats(inst, clu)
+        expected = [cluster_stats(inst, clu, c) for c in range(clu.k)]
+        assert len(stats) == clu.k and list(stats) == expected
+        columns = zip(stats.red, stats.blue, stats.s_r, stats.s_b, stats.d_r, stats.d_b, stats.size)
+        assert [tuple(map(int, row)) for row in columns] == [
+            (st.red_count, st.blue_count, st.s_r, st.s_b, st.d_r, st.d_b, st.size) for st in expected
+        ]
+        assert stats[-1] == expected[-1] and stats[1:3] == expected[1:3]
+        with pytest.raises(ValueError):
+            stats.s_b[0] = 1
+    # a ratio part beyond int64 keeps the deficits exact
+    inst = ColoredInstance.from_colors("BBR", 2**70, 1)
+    clu = normalize([0, 0, 1])
+    stats = all_stats(inst, clu)
+    assert stats.d_b[0] == 2**70 - 2
+    assert list(stats) == [cluster_stats(inst, clu, c) for c in range(2)]
