@@ -1,10 +1,10 @@
 """Closest fair clustering and fair consensus clustering of red/blue point sets."""
 
 from .balance_fractional import CaseTag, balance_pq, detect_case
-from .balance_integral import balance_p, cut_merge_costs, subset_cost
+from .balance_integral import balance_p, cut_merge_costs
 from .distance import ConsensusObjective, dist, dist_fast, lmean
 from .errors import FairmergeError
-from .exact import MonoCluster, find_closest_fair_11, greedy_merge, make_it_fair
+from .exact import find_closest_fair_11
 from .fairify import make_clusters_fair
 from .generators import ReductionInstance, SplitMix64, gen_3partition_reduction, gen_random
 from .model import (
@@ -45,7 +45,6 @@ __all__ = [
     "ConsensusResult",
     "FairmergeError",
     "GuaranteeReport",
-    "MonoCluster",
     "Move",
     "OracleResult",
     "ReductionInstance",
@@ -66,16 +65,13 @@ __all__ = [
     "find_closest_fair_11",
     "gen_3partition_reduction",
     "gen_random",
-    "greedy_merge",
     "is_balanced",
     "is_fair",
     "lmean",
     "make_clusters_fair",
-    "make_it_fair",
     "normalize",
     "oracle_closest_balanced",
     "oracle_closest_fair",
     "oracle_consensus",
-    "subset_cost",
     "validate_feasible",
 ]

@@ -19,7 +19,6 @@ from .errors import (
     ParseError,
     SizeMismatch,
     TooLarge,
-    UnbalancedTotals,
     WrongRatio,
 )
 from .fileio import load_clustering, load_instance, save_clustering, save_instance, save_report
@@ -234,7 +233,7 @@ def main(argv=None) -> int:
     except SizeMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except (InfeasibleFairness, NotBalanced, UnbalancedTotals, WrongRatio) as exc:
+    except (InfeasibleFairness, NotBalanced, WrongRatio) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except TooLarge as exc:

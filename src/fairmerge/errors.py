@@ -29,10 +29,6 @@ class EmptyInput(FairmergeError):
     """An aggregate operation received no inputs."""
 
 
-class UnbalancedTotals(FairmergeError):
-    """Monochromatic cluster lists with unequal red and blue totals."""
-
-
 class WrongRatio(FairmergeError):
     """An algorithm restricted to a specific ratio got a different one."""
 
@@ -45,8 +41,8 @@ class SurplusNotMultipleOfP(SurplusNotMultiple):
     """Blue surpluses of the remaining cut clusters are not a multiple of p."""
 
 
-class SubsetOutOfRange(FairmergeError):
-    """A subset index beyond the cluster's last block was requested."""
+class ReplayMismatch(FairmergeError):
+    """A transcript moves a point out of a cluster that does not hold it."""
 
 
 class InternalDeficitMismatch(FairmergeError):

@@ -10,44 +10,18 @@ fair clustering.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .errors import InfeasibleFairness, NotBalanced
-from .model import Clustering, ClusterStats, ColoredInstance, validate_feasible
+from .mergeloop import pair_off
+from .model import Clustering, ColoredInstance, validate_feasible
 from .transcript import ClusterState, Transcript
-
-
-class TypeTag(Enum):
-    TYPE_RED = "red-surplus"
-    TYPE_BLUE = "red-deficit"
-    NEUTRAL = "fair"
-
-
-def red_imbalance(stats: ClusterStats, p: int, q: int) -> int:
-    """red_count - (q/p) * blue_count; positive means spare reds.
-
-    Integral for balanced clusters, where p divides the blue count.
-    """
-    if (q * stats.blue_count) % p:
-        raise NotBalanced(
-            f"blue count {stats.blue_count} not a multiple of p = {p}"
-        )
-    return stats.red_count - (q * stats.blue_count) // p
-
-
-def classify(stats: ClusterStats, p: int, q: int) -> TypeTag:
-    sigma = red_imbalance(stats, p, q)
-    if sigma > 0:
-        return TypeTag.TYPE_RED
-    if sigma < 0:
-        return TypeTag.TYPE_BLUE
-    return TypeTag.NEUTRAL
 
 
 def _make_clusters_fair(state: ClusterState) -> None:
     p, q = state.instance.p, state.instance.q
-    donors: list[tuple[int, int]] = []  # (key, spare reds)
-    receivers: list[tuple[int, int]] = []  # (key, missing reds)
+    donors: list[int] = []
+    spare: list[int] = []  # reds each donor has beyond its fair share
+    receivers: list[int] = []
+    missing: list[int] = []  # reds each receiver lacks
     for c in range(len(state.clusters)):
         b, r = state.blue_count(c), state.red_count(c)
         if b == 0 and r == 0:
@@ -56,27 +30,15 @@ def _make_clusters_fair(state: ClusterState) -> None:
             raise NotBalanced(f"cluster {c}: blue count {b} not a multiple of {p}")
         sigma = r - (q * b) // p
         if sigma > 0:
-            donors.append((c, sigma))
+            donors.append(c)
+            spare.append(sigma)
         elif sigma < 0:
-            receivers.append((c, -sigma))
-    if sum(s for _, s in donors) != sum(d for _, d in receivers):
+            receivers.append(c)
+            missing.append(-sigma)
+    if sum(spare) != sum(missing):
         raise InfeasibleFairness("red spares and red shortfalls do not match")
-    di = ri = 0
-    rem_s = donors[di][1] if donors else 0
-    rem_d = receivers[ri][1] if receivers else 0
-    while di < len(donors) and ri < len(receivers):
-        k = min(rem_s, rem_d)
-        state.move(donors[di][0], receivers[ri][0], "red", k)
-        rem_s -= k
-        rem_d -= k
-        if rem_s == 0:
-            di += 1
-            if di < len(donors):
-                rem_s = donors[di][1]
-        if rem_d == 0:
-            ri += 1
-            if ri < len(receivers):
-                rem_d = receivers[ri][1]
+    for i, j, k in pair_off(spare, missing):
+        state.move(donors[i], receivers[j], "red", k)
 
 
 def make_clusters_fair(

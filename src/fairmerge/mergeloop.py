@@ -1,21 +1,100 @@
-"""Shared machinery for the two balancing stages.
+"""Shared machinery for the balancing, fairifying and exact passes.
 
-``pack_extras`` sweeps leftover surpluses into fresh single-color clusters
-of exactly the modulus size.  ``run_merge_subsets`` services leftover
-deficits: each donor cluster's points of one color are divided into a
-size-``s`` block (its own surplus, block 0) and full blocks of the modulus
-size, each block carrying a fixed cutting cost; the cheapest available
-block is cut and dealt into the deficit clusters in priority order until
-every deficit is filled.
+``pair_off`` is the one greedy step they all repeat: hand amounts of
+supply to amounts of demand in a fixed order.  ``transfer`` runs it on one
+color's surpluses, from cut-side into merge-side clusters.  What is left is
+finished in one of two ways.  ``pack_extras`` sweeps leftover surpluses into
+fresh single-color clusters of exactly the modulus size.
+``run_merge_subsets`` services leftover deficits: each donor cluster's
+points of one color are divided into a size-``s`` block (its own surplus,
+block 0) and full blocks of the modulus size, each block carrying a fixed
+cutting cost; the cheapest available block is cut and dealt into the
+deficit clusters in priority order until every deficit is filled.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
+
+import numpy as np
 
 from .errors import InternalDeficitMismatch, SurplusNotMultiple
 from .transcript import ClusterState
+
+
+def pair_off(supply: Sequence[int], demand: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Greedy pairing of two lists of positive amounts, both walked in order.
+
+    Each step hands ``k = min(supply left at i, demand left at j)`` from
+    supply ``i`` to demand ``j`` and yields ``(i, j, k)``; an exhausted
+    amount moves its cursor on (both cursors on a tie).  Stops as soon as
+    either side runs out, so the triples carry ``min(sum(supply),
+    sum(demand))`` in total.
+    """
+    steps: list[tuple[int, int, int]] = []
+    ns, nd = len(supply), len(demand)
+    i = j = 0
+    s = supply[0] if ns else 0
+    d = demand[0] if nd else 0
+    while i < ns and j < nd:
+        k = min(s, d)
+        steps.append((i, j, k))
+        s -= k
+        d -= k
+        if s == 0:
+            i += 1
+            if i < ns:
+                s = supply[i]
+        if d == 0:
+            j += 1
+            if j < nd:
+                d = demand[j]
+    return steps
+
+
+def _counter(state: ClusterState, color: str):
+    return state.blue_count if color == "blue" else state.red_count
+
+
+def transfer(
+    state: ClusterState, color: str, modulus: int, surplus: np.ndarray
+) -> tuple[list[int], list[int], list[int]]:
+    """Move ``color`` surpluses from cut-side into merge-side clusters.
+
+    ``surplus`` holds every baseline cluster's live ``color`` count mod
+    ``modulus``.  A cluster with a surplus of at most half the modulus is
+    cut-side (cheaper to shed it), one with more is merge-side (cheaper to
+    top up).  Donors give in key order.  Receivers are served by
+    non-increasing cut cost s (size - s) minus merge cost (modulus - s) size,
+    at the live cluster sizes; the stable sort breaks ties by key.  Stops
+    when either side runs out.
+
+    Returns (balanced keys: surplus-free clusters, then the donors the pass
+    emptied; leftover cut keys; leftover merge keys).  A partly served
+    cluster stays in its leftover list.
+    """
+    balanced = np.flatnonzero(surplus == 0).tolist()
+    cut = np.flatnonzero((surplus > 0) & (2 * surplus <= modulus))
+    merge = np.flatnonzero(2 * surplus > modulus)
+    supply = surplus[cut].tolist()
+    demand: list[int] = []
+    if merge.shape[0]:  # then modulus < 2n, so the int64 arithmetic is exact
+        s = surplus[merge]
+        size = np.array([state.size(c) for c in merge.tolist()], dtype=np.int64)
+        merge = merge[np.argsort((modulus - s) * size - s * (size - s), kind="stable")]
+        demand = (modulus - surplus[merge]).tolist()
+    cut, merge = cut.tolist(), merge.tolist()
+    steps = pair_off(supply, demand)
+    for i, j, k in steps:
+        state.move(cut[i], merge[j], color, k)
+    moved = sum(k for _, _, k in steps)
+    di = bisect_right(list(accumulate(supply)), moved)
+    mi = bisect_right(list(accumulate(demand)), moved)
+    return balanced + cut[:di], cut[di:], merge[mi:]
 
 
 @dataclass(frozen=True)
@@ -43,7 +122,7 @@ def make_donor_blocks(
     opposite_surplus: int,
     is_receiver: bool,
 ) -> DonorBlocks:
-    cnt = state.blue_count(key) if color == "blue" else state.red_count(key)
+    cnt = _counter(state, color)(key)
     s0 = cnt % modulus
     size = state.size(key)
     mcost0 = (modulus - s0) * size if is_receiver else 0
@@ -68,24 +147,18 @@ def pack_extras(
     Donors are consumed in the given order, first-fit.  Returns the number
     of extra clusters created.
     """
-    count = state.blue_count if color == "blue" else state.red_count
-    total = sum(count(c) % modulus for c in donors)
+    count = _counter(state, color)
+    surplus = [(c, s) for c in donors if (s := count(c) % modulus)]
+    total = sum(s for _, s in surplus)
     if total == 0:
         return 0
     if total % modulus:
         raise error(f"total {color} surplus {total} not a multiple of {modulus}")
-    extra = -1
-    room = 0
-    for c in donors:
-        s = count(c) % modulus
-        while s > 0:
-            if room == 0:
-                extra = state.new_cluster()
-                room = modulus
-            k = min(s, room)
-            state.move(c, extra, color, k)
-            s -= k
-            room -= k
+    extras: list[int] = []
+    for i, j, k in pair_off([s for _, s in surplus], [modulus] * (total // modulus)):
+        if j == len(extras):
+            extras.append(state.new_cluster())
+        state.move(surplus[i][0], extras[j], color, k)
     return total // modulus
 
 
@@ -108,7 +181,7 @@ def run_merge_subsets(
     any points leaves the donor pool, since its entry-time block table no
     longer describes it.
     """
-    count = state.blue_count if color == "blue" else state.red_count
+    count = _counter(state, color)
     deficit = {r: (modulus - count(r) % modulus) % modulus for r in receivers}
     w_initial = sum(deficit.values())
     meta = state.transcript.meta

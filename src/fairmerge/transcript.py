@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadClusterId, InvalidArgument
+from .errors import BadClusterId, InvalidArgument, ReplayMismatch
 from .model import Clustering, ColoredInstance, normalize
 
 
@@ -224,38 +224,50 @@ class Transcript:
         return int(self._log.costs().sum())
 
     def replay(self, baseline: Clustering) -> tuple[Clustering, int]:
-        """Re-apply the moves from ``baseline`` and re-price them naively.
+        """Re-apply the moves from ``baseline`` one at a time and re-price them.
 
         Returns the reconstructed final clustering and the recomputed total
-        cost.  The pricing here iterates real point pairs, independently of
-        the prefix-sum arithmetic of the log, so agreement between the two
-        is a genuine cross-check.
+        cost.  Each move is priced from running per-(cluster, origin) point
+        counts, in time linear in its points; none of the log's prefix-sum
+        pricing is used, so agreement between the two is a genuine
+        cross-check.  Raises :class:`ReplayMismatch` when a move takes a
+        point its source cluster does not hold.
         """
-        clusters: dict[int, set[int]] = {
-            c: set(pts) for c, pts in enumerate(baseline.members)
-        }
-        base = baseline.labels
-        total = 0
-        for mv in self.moves:
-            src = clusters[mv.src]
-            dst = clusters.setdefault(mv.dst, set())
-            for u in mv.points:
-                src.remove(u)
-            d = 0
-            for u in mv.points:
-                bu = base[u]
-                for v in src:
-                    d += 1 if base[v] == bu else -1
-                for v in dst:
-                    d += -1 if base[v] == bu else 1
-            dst.update(mv.points)
+        log = self._log
+        base = baseline.labels_array()
+        size0 = np.bincount(base, minlength=baseline.k).tolist()
+        size = size0[:]  # live cluster sizes, by key
+        pts = log.points.tolist()
+        if pts and not 0 <= min(pts) <= max(pts) < baseline.n:
+            raise ReplayMismatch(f"moved points outside 0..{baseline.n - 1}")
+        origins = base[np.array(pts, dtype=np.int64)].tolist()
+        where: dict[int, int] = {}  # current cluster of every point moved so far
+        held: dict[tuple[int, int], int] = {}  # (cluster, origin) -> points, once touched
+        total = o = 0
+        for i, (src, dst, c) in enumerate(zip(log.src, log.dst, log.count)):
+            groups: dict[int, int] = {}
+            for u, g in zip(pts[o:o + c], origins[o:o + c]):
+                if where.get(u, g) != src:
+                    raise ReplayMismatch(f"move {i}: point {u} is not in cluster {src}")
+                where[u] = dst
+                groups[g] = groups.get(g, 0) + 1
+            o += c
+            if dst >= len(size):
+                size.extend([0] * (dst + 1 - len(size)))
+            size[src] -= c
+            # c points leave src and join dst: +1 per pair split that shared
+            # an origin, -1 per other pair split, and the reverse for joins
+            d = c * (size[dst] - size[src])
+            for g, w in groups.items():
+                left = held.get((src, g), size0[g] if src == g else 0) - w
+                met = held.get((dst, g), size0[g] if dst == g else 0)
+                held[src, g], held[dst, g] = left, met + w
+                d += 2 * w * (left - met)
+            size[dst] += c
             total += d
-            if not src:
-                del clusters[mv.src]
-        labels = [0] * baseline.n
-        for key, pts in clusters.items():
-            for u in pts:
-                labels[u] = key
+        labels = base.copy()
+        if where:
+            labels[list(where)] = list(where.values())
         return normalize(labels, baseline.n), total
 
 

@@ -4,24 +4,58 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from fairmerge import Color, ColoredInstance, dist_fast
+from fairmerge import Color, ColoredInstance, dist_fast, normalize
 from fairmerge.model import Clustering
 from fairmerge.transcript import Transcript
+
+
+def replay_pairwise(transcript: Transcript, baseline: Clustering) -> tuple[Clustering, int]:
+    """Reference replay: re-apply the moves and price every real point pair.
+
+    Quadratic in cluster sizes, so only for small inputs; ``Transcript.replay``
+    is checked against it.
+    """
+    clusters: dict[int, set[int]] = {c: set(pts) for c, pts in enumerate(baseline.members)}
+    base = baseline.labels
+    total = 0
+    for mv in transcript.moves:
+        src = clusters[mv.src]
+        dst = clusters.setdefault(mv.dst, set())
+        for u in mv.points:
+            src.remove(u)
+        d = 0
+        for u in mv.points:
+            bu = base[u]
+            for v in src:
+                d += 1 if base[v] == bu else -1
+            for v in dst:
+                d += -1 if base[v] == bu else 1
+        dst.update(mv.points)
+        total += d
+        if not src:
+            del clusters[mv.src]
+    labels = [0] * baseline.n
+    for key, pts in clusters.items():
+        for u in pts:
+            labels[u] = key
+    return normalize(labels, baseline.n), total
 
 
 def audit_transcript(
     before: Clustering, after: Clustering, transcript: Transcript
 ) -> int:
-    """Check cost bookkeeping three ways; return the measured distance.
+    """Check cost bookkeeping four ways; return the measured distance.
 
-    The recorded total, the naive replay total, and a direct distance
-    computation must all agree, and replay must rebuild the output.
+    The recorded total, the sequential replay total, the pairwise replay
+    total and a direct distance computation must all agree, and both
+    replays must rebuild the output.
     """
     d = dist_fast(before, after)
     assert transcript.total_cost == d, (transcript.total_cost, d)
-    replayed, replay_cost = transcript.replay(before)
-    assert replayed.labels == after.labels
-    assert replay_cost == d, (replay_cost, d)
+    for replay in (transcript.replay, lambda b: replay_pairwise(transcript, b)):
+        replayed, replay_cost = replay(before)
+        assert replayed.labels == after.labels
+        assert replay_cost == d, (replay_cost, d)
     return d
 
 
@@ -53,8 +87,6 @@ def mono_instance(red_sizes, blue_sizes, p: int = 1, q: int = 1):
         colors += ["B"] * size
         labels += [lab] * size
         lab += 1
-    from fairmerge import normalize
-
     inst = ColoredInstance.from_colors(colors, p, q)
     return inst, normalize(labels, inst.n)
 
@@ -66,8 +98,6 @@ def counts_instance(cluster_counts, p: int, q: int):
     for lab, (b, r) in enumerate(cluster_counts):
         colors += ["B"] * b + ["R"] * r
         labels += [lab] * (b + r)
-    from fairmerge import normalize
-
     inst = ColoredInstance.from_colors(colors, p, q)
     return inst, normalize(labels, inst.n)
 

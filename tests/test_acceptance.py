@@ -27,7 +27,6 @@ from fairmerge import (
     oracle_closest_fair,
     oracle_consensus,
 )
-from fairmerge.exact import find_closest_fair_11_with_transcript
 
 from support import (
     assert_subset_identities,
@@ -223,7 +222,7 @@ def test_criterion_7_invariant_suites():
     fair_runs = balanced_runs = replays = merge_loops = 0
     # exact path: output fairness + transcript audit
     for inst, clu in pool_equal()[:120]:
-        out, transcript = find_closest_fair_11_with_transcript(inst, clu)
+        out, _, transcript = closest_fair(inst, clu)
         assert is_fair(inst, out)
         audit_transcript(clu, out, transcript)
         fair_runs += 1
@@ -320,19 +319,20 @@ def test_criterion_8_reduction_soundness():
 
 
 def test_criterion_9_runtime_shape():
-    def best_time(n, seed):
-        inst, clu = gen_random(n, 3, 1, 1000, seed=seed)
-        best = math.inf
-        for _ in range(2):
+    # The two sizes are timed in alternation, best of three each.  The host
+    # speed drifts by tens of percent within seconds, and timing all of one
+    # size before the other let that drift into the ratio.
+    cases = {n: gen_random(n, 3, 1, 1000, seed=seed) for n, seed in ((1_000_000, 1), (4_000_000, 2))}
+    best = dict.fromkeys(cases, math.inf)
+    for _ in range(3):
+        for n, (inst, clu) in cases.items():
             t = time.perf_counter()
-            out, report, _ = closest_fair(inst, clu)
-            best = min(best, time.perf_counter() - t)
-        assert is_fair(inst, out)
-        return best
+            out, _, _ = closest_fair(inst, clu)
+            best[n] = min(best[n], time.perf_counter() - t)
+            assert is_fair(inst, out)
 
-    base = best_time(1_000_000, seed=1)
+    base, quad = best[1_000_000], best[4_000_000]
     assert base < 5.0, f"1e6 points took {base:.2f}s"
-    quad = best_time(4_000_000, seed=2)
     assert quad < 5.0 * base, f"4x points scaled {quad / base:.2f}x"
     _report(
         "9 runtime",

@@ -10,12 +10,6 @@ from fairmerge import (
     is_balanced,
     oracle_closest_balanced,
 )
-from fairmerge.balance_fractional import (
-    algo_cut_cut,
-    algo_cut_merge,
-    algo_merge_cut,
-    algo_merge_merge,
-)
 from fairmerge.errors import InfeasibleFairness
 from fairmerge.model import all_stats
 
@@ -172,51 +166,93 @@ def test_ratio_bound_quick_sweep():
 def test_subroutine_cut_cut_examples():
     # red surpluses {1,1} with q=2 make one red extra
     inst, clu = counts_instance([(3, 3), (3, 3)], p=3, q=2)
-    out, transcript = algo_cut_cut(inst, clu)
-    assert is_balanced(inst, out)
-    audit_transcript(clu, out, transcript)
+    out, transcript = _pq_invariants(inst, clu)
+    assert transcript.meta == {"case": "cut-cut"}
 
-    # blue surpluses {2,1} with p=3: one blue extra, cross-origin pairs 2
-    inst, clu = counts_instance([(5, 2), (4, 2)], p=3, q=2)
-    out, transcript = algo_cut_cut(inst, clu)
-    assert is_balanced(inst, out)
-    d = audit_transcript(clu, out, transcript)
-    assert d == 2 * 5 + 1 * 5 + 2  # separations plus the mixed pair
+    # blue surpluses {2,1,2} with p=5, all cut-side: one blue extra
+    inst, clu = counts_instance([(7, 3), (6, 3), (7, 3)], p=5, q=3)
+    out, transcript = _pq_invariants(inst, clu)
+    assert transcript.meta == {"case": "cut-cut"}
+    separations = 2 * 8 + 1 * 8 + 2 * 8
+    mixed = 2 * 1 + 2 * 2 + 1 * 2  # cross-origin pairs inside the extra
+    assert dist_fast(clu, out) == separations + mixed
 
     # nothing to do
     inst, clu = counts_instance([(3, 2)], p=3, q=2)
-    out, transcript = algo_cut_cut(inst, clu)
+    out, transcript = balance_pq(inst, clu)
     assert not transcript.moves
 
 
 def test_subroutine_cut_merge_and_mirror():
     inst, clu = counts_instance([(2, 1), (2, 1), (2, 2)], p=3, q=2)
-    out, transcript = algo_cut_merge(inst, clu)
-    assert is_balanced(inst, out)
-    audit_transcript(clu, out, transcript)
-    assert_subset_identities(transcript, p=3, q=2)
+    out, transcript = _pq_invariants(inst, clu)
+    assert transcript.meta["case"] == "cut-merge"
 
     inst, clu = counts_instance([(6, 2), (7, 2), (2, 2)], p=5, q=3)
-    out, transcript = algo_merge_cut(inst, clu)
-    assert is_balanced(inst, out)
-    audit_transcript(clu, out, transcript)
+    out, transcript = _pq_invariants(inst, clu)
+    assert transcript.meta["case"] == "merge-cut"
 
     # identity on balanced input
     inst, clu = counts_instance([(3, 2), (6, 2)], p=3, q=2)
-    out, transcript = algo_merge_cut(inst, clu)
+    out, transcript = balance_pq(inst, clu)
     assert not transcript.moves
 
 
 def test_subroutine_merge_merge():
     inst, clu = counts_instance([(3, 2), (3, 2), (3, 2), (3, 0)], p=4, q=3)
-    out, transcript = algo_merge_merge(inst, clu)
-    assert is_balanced(inst, out)
-    audit_transcript(clu, out, transcript)
-    assert_subset_identities(transcript, p=4, q=3)
+    out, transcript = _pq_invariants(inst, clu)
+    assert transcript.meta["case"] == "merge-merge"
 
 
-def test_subroutine_shape_validation():
-    # a half-or-less surplus on the merge side is rejected
-    inst, clu = counts_instance([(4, 2), (2, 2), (2, 2)], p=3, q=2)
-    with pytest.raises(ValueError):
-        algo_merge_merge(inst, clu)
+@pytest.mark.parametrize(
+    "counts, p, q, meta, steps",
+    [
+        # red surpluses packed into one red extra (key 3), blue into one blue extra (key 4)
+        (
+            [(4, 3), (4, 3), (1, 0)],
+            3,
+            2,
+            {"case": "cut-cut"},
+            [(0, 3, 1), (1, 3, 1), (0, 4, 1), (1, 4, 1), (2, 4, 1)],
+        ),
+        # red surpluses packed first; then cluster 0 cuts its own blue surplus,
+        # priced with its red surplus discounted, into the two blue deficits
+        (
+            [(2, 1), (2, 1), (2, 2)],
+            3,
+            2,
+            {"case": "cut-merge", "blue_merge_w": 3, "blue_merge_subsets_cut": 1},
+            [(0, 3, 1), (1, 3, 1), (0, 2, 1), (0, 1, 1)],
+        ),
+        # blue surpluses packed first; then cluster 2 cuts its red surplus
+        (
+            [(6, 2), (7, 2), (2, 2)],
+            5,
+            3,
+            {"case": "merge-cut", "red_merge_w": 3, "red_merge_subsets_cut": 1},
+            [(0, 3, 1), (1, 3, 2), (2, 3, 2), (2, 1, 1), (2, 0, 1)],
+        ),
+        # both colors block-cut, red first, with no discount
+        (
+            [(3, 2), (3, 2), (3, 2), (3, 0)],
+            4,
+            3,
+            {
+                "case": "merge-merge",
+                "red_merge_w": 3,
+                "red_merge_subsets_cut": 1,
+                "blue_merge_w": 4,
+                "blue_merge_subsets_cut": 1,
+            },
+            [(0, 1, 1), (0, 2, 1), (3, 0, 1), (3, 1, 1), (3, 2, 1)],
+        ),
+    ],
+    ids=[tag.value for tag in CaseTag],
+)
+def test_each_residue_case_runs_its_branch(counts, p, q, meta, steps):
+    inst, clu = counts_instance(counts, p=p, q=q)
+    assert detect_case(inst, clu).value == meta["case"]
+    out, transcript = _pq_invariants(inst, clu)
+    assert transcript.meta == meta
+    assert [(m.src, m.dst, len(m.points)) for m in transcript.moves] == steps
+

@@ -7,11 +7,11 @@ from fairmerge import (
     gen_random,
     is_balanced,
     oracle_closest_balanced,
-    subset_cost,
 )
-from fairmerge.balance_integral import algo_for_cut, algo_for_merge
-from fairmerge.errors import SubsetOutOfRange, WrongRatio
+from fairmerge.errors import WrongRatio
+from fairmerge.mergeloop import make_donor_blocks
 from fairmerge.model import ClusterStats
+from fairmerge.transcript import ClusterState
 
 from support import assert_subset_identities, audit_transcript, counts_instance
 
@@ -26,20 +26,14 @@ def test_cut_merge_cost_examples():
 
 
 def test_subset_cost_examples():
-    st = ClusterStats.from_counts(3, 7, p=3, q=1)  # size 10, blue 7, s=1
-    assert subset_cost(st, 1, 3).cost == 18
-    assert subset_cost(st, 0, 3).cost == 9
-    assert subset_cost(st, 0, 3, in_merge_phase=True).cost == 9 - 20
-    assert subset_cost(st, 0, 3).size == 1
-    assert subset_cost(st, 2, 3).size == 3
-
-
-def test_subset_cost_out_of_range():
-    st = ClusterStats.from_counts(3, 7, p=3, q=1)  # two full blocks
-    with pytest.raises(SubsetOutOfRange):
-        subset_cost(st, 3, 3)
-    with pytest.raises(SubsetOutOfRange):
-        subset_cost(st, -1, 3)
+    inst, clu = counts_instance([(7, 3)], p=3, q=1)  # size 10, blue 7, s=1
+    blocks = make_donor_blocks(ClusterState(inst, clu), 0, "blue", 3, 0, is_receiver=False)
+    assert blocks.block_cost(1, 3) == 18
+    assert blocks.block_cost(0, 3) == 9
+    assert (blocks.s0, blocks.nsub) == (1, 2)  # a surplus block of 1, two full blocks of 3
+    # a still-deficient donor: cutting its surplus also cancels its merge cost 20
+    blocks = make_donor_blocks(ClusterState(inst, clu), 0, "blue", 3, 0, is_receiver=True)
+    assert blocks.block_cost(0, 3) == 9 - 20
 
 
 def test_balance_p_identity_when_already_balanced():
@@ -86,61 +80,59 @@ def test_cut_boundary_goes_to_cut_side():
 
 
 def test_algo_for_cut_examples():
+    # every surplus is at most p/2 and nothing is merge-side: the cut residue
+    # packs the surpluses into fresh all-blue clusters of size p
     inst, clu = counts_instance([(4, 0), (4, 0), (4, 0)], p=3, q=1)
-    out, transcript = algo_for_cut(inst, clu)
+    out, transcript = balance_p(inst, clu)
     assert is_balanced(inst, out)
     audit_transcript(clu, out, transcript)
+    assert "merge_w" not in transcript.meta
 
     # surpluses {2, 2} with p=4: one extra split across two origins
     inst, clu = counts_instance([(6, 1), (6, 2)], p=4, q=1)
-    out, transcript = algo_for_cut(inst, clu)
+    out, transcript = balance_p(inst, clu)
     assert is_balanced(inst, out)
     extras = [m for m in out.members if len(m) == 4 and all(inst.role_is_blue(u) for u in m)]
     assert len(extras) == 1
 
     # surpluses {1,1,2} with p=4: cross-origin pairs inside the extra = 5
     inst, clu = counts_instance([(5, 0), (5, 0), (6, 0)], p=4, q=1)
-    out, transcript = algo_for_cut(inst, clu)
+    out, transcript = balance_p(inst, clu)
     d = audit_transcript(clu, out, transcript)
     breakage = 1 * 4 + 1 * 4 + 2 * 4  # each surplus separated from its origin
     assert d == breakage + 5
 
 
 def test_algo_for_merge_minimal_feasible_residue():
-    # deficits {1, 3} sum to exactly p: a single block is cut
-    inst, clu = counts_instance([(7, 1), (5, 0), (8, 0)], p=4, q=1)
-    out, transcript = algo_for_merge(inst, clu)
+    # p=4, four merge-side clusters with deficit 1 and no cut side: the
+    # deficits sum to exactly p, so a single block is cut
+    inst, clu = counts_instance([(3, 0), (3, 0), (3, 0), (7, 1), (8, 0)], p=4, q=1)
+    out, transcript = balance_p(inst, clu)
     assert is_balanced(inst, out)
     audit_transcript(clu, out, transcript)
     assert transcript.meta["merge_w"] == 4
     assert transcript.meta["merge_subsets_cut"] == 1
 
 
-def test_algo_for_merge_rejects_unserviceable_deficit():
-    # a lone deficient cluster leaves a deficit that is not a multiple of p
-    from fairmerge.errors import InternalDeficitMismatch
-
-    inst, clu = counts_instance([(7, 1), (8, 0)], p=4, q=1)
-    with pytest.raises(InternalDeficitMismatch):
-        algo_for_merge(inst, clu)
-
-
 def test_algo_for_merge_deterministic():
-    inst, clu = counts_instance([(5, 1), (5, 1), (8, 0), (6, 3)], p=4, q=1)
-    out1, t1 = algo_for_merge(inst, clu)
-    out2, t2 = algo_for_merge(inst, clu)
+    inst, clu = counts_instance([(7, 1), (7, 1), (3, 2), (3, 0), (8, 0)], p=4, q=1)
+    out1, t1 = balance_p(inst, clu)
+    out2, t2 = balance_p(inst, clu)
+    assert "merge_w" in t1.meta
     assert out1.labels == out2.labels
     assert t1.moves == t2.moves
 
 
 def test_algo_for_merge_block_split_across_deficits():
-    # p=3: deficits {2, 1}; the donor block of 3 splits 2/1
-    inst, clu = counts_instance([(4, 0), (5, 0), (6, 3)], p=3, q=1)
-    out, transcript = algo_for_merge(inst, clu)
+    # p=5: deficits {2, 2, 1}; cluster 0 cuts its own surplus block of 3,
+    # which cancels its deficit and splits 1/2 over the other two
+    inst, clu = counts_instance([(3, 0), (3, 0), (4, 0), (10, 3)], p=5, q=1)
+    out, transcript = balance_p(inst, clu)
     assert is_balanced(inst, out)
     audit_transcript(clu, out, transcript)
-    assert_subset_identities(transcript, p=3, q=1)
-    assert transcript.meta["merge_w"] == 3
+    assert_subset_identities(transcript, p=5, q=1)
+    assert transcript.meta["merge_w"] == 5
+    assert [(m.src, m.dst, len(m.points)) for m in transcript.moves] == [(0, 2, 1), (0, 1, 2)]
 
 
 def test_balance_p_ratio_bound_quick_sweep():

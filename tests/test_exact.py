@@ -1,68 +1,65 @@
 import pytest
 
 from fairmerge import (
+    closest_fair,
     dist_fast,
     find_closest_fair_11,
     gen_random,
-    greedy_merge,
     is_fair,
-    make_it_fair,
     oracle_closest_fair,
 )
-from fairmerge.errors import UnbalancedTotals, WrongRatio
-from fairmerge.exact import MonoCluster, find_closest_fair_11_with_transcript
-from fairmerge.model import ColoredInstance
+from fairmerge.errors import InfeasibleFairness, WrongRatio
 
 from support import audit_transcript, counts_instance, mono_instance
 
 
+def _blue_ids(inst, points):
+    return [u for u in points if inst.role_is_blue(u)]
+
+
 def test_make_it_fair_examples():
-    inst, clu = counts_instance([(5, 3)], p=1, q=1)  # 3R + 5B
-    fair, leftover = make_it_fair(inst, clu.members[0], origin=0)
-    assert len(fair) == 6
-    assert leftover is not None
-    assert leftover.color == "blue" and leftover.size == 2
+    # 5B + 3R keeps its fair part of 6; its 2 highest blues leave as a block
+    # and are then paired with the lone 2R cluster
+    inst, clu = counts_instance([(5, 3), (0, 2)], p=1, q=1)
+    out, _, transcript = closest_fair(inst, clu)
+    split = transcript.moves[0]
+    assert (split.src, split.dst) == (0, 2)
+    assert list(split.points) == _blue_ids(inst, clu.members[0])[-2:]
+    assert sorted(len(m) for m in out.members) == [4, 6]
+    audit_transcript(clu, out, transcript)
 
+    # an already fair cluster has no leftover: nothing moves
     inst, clu = counts_instance([(4, 4)], p=1, q=1)
-    fair, leftover = make_it_fair(inst, clu.members[0])
-    assert len(fair) == 8 and leftover is None
+    out, _, transcript = closest_fair(inst, clu)
+    assert out == clu and not transcript.moves
 
-    inst, clu = counts_instance([(0, 2)], p=1, q=1)
-    fair, leftover = make_it_fair(inst, clu.members[0])
-    assert fair == () and leftover.color == "red" and leftover.size == 2
+    # a one-color cluster is its own leftover: no split move, only the pairing
+    inst, clu = counts_instance([(0, 2), (2, 0)], p=1, q=1)
+    out, _, transcript = closest_fair(inst, clu)
+    assert len(transcript.moves) == 1 and out.k == 1
 
 
 def test_make_it_fair_parts_partition_the_cluster():
-    inst, clu = counts_instance([(5, 3)], p=1, q=1)
-    fair, leftover = make_it_fair(inst, clu.members[0])
-    assert sorted(fair + leftover.members) == list(clu.members[0])
-
-
-def _monos(sizes, color, start_id=0):
-    out = []
-    nxt = start_id
-    for i, s in enumerate(sizes):
-        out.append(MonoCluster(color=color, members=tuple(range(nxt, nxt + s)), origin=i))
-        nxt += s
-    return out, nxt
+    inst, clu = counts_instance([(5, 3), (0, 2)], p=1, q=1)
+    out, _, transcript = closest_fair(inst, clu)
+    leftover = transcript.moves[0].points
+    fair = [u for u in clu.members[0] if out.labels[u] == out.labels[clu.members[0][0]]]
+    assert len(fair) == 6
+    assert sorted(fair + list(leftover)) == list(clu.members[0])
 
 
 def test_greedy_merge_sizes_2_3_vs_1_4():
-    reds, nxt = _monos([2, 3], "red")
-    blues, _ = _monos([1, 4], "blue", start_id=nxt)
-    out = greedy_merge(reds, blues)
-    assert sorted(len(c) for c in out) == [2, 2, 6]
-    # distance from the monochromatic input equals (sum R^2 + sum B^2) / 2
     inst, clu = mono_instance([2, 3], [1, 4])
     fair = find_closest_fair_11(inst, clu)
+    assert sorted(len(c) for c in fair.members) == [2, 2, 6]
+    # distance from the monochromatic input equals (sum R^2 + sum B^2) / 2
     assert dist_fast(clu, fair) == 15
 
 
 def test_greedy_merge_single_pairing():
-    reds, nxt = _monos([4], "red")
-    blues, _ = _monos([4], "blue", start_id=nxt)
-    out = greedy_merge(reds, blues)
-    assert len(out) == 1 and len(out[0]) == 8
+    inst, clu = mono_instance([4], [4])
+    fair = find_closest_fair_11(inst, clu)
+    assert fair.k == 1 and len(fair.members[0]) == 8
 
 
 def test_greedy_merge_splits_pay_square_costs():
@@ -73,19 +70,29 @@ def test_greedy_merge_splits_pay_square_costs():
 
 
 def test_greedy_merge_unbalanced_totals():
-    reds, nxt = _monos([2], "red")
-    blues, _ = _monos([3], "blue", start_id=nxt)
-    with pytest.raises(UnbalancedTotals):
-        greedy_merge(reds, blues)
+    inst, clu = mono_instance([2], [3])
+    with pytest.raises(InfeasibleFairness):
+        find_closest_fair_11(inst, clu)
 
 
 def test_greedy_merge_output_is_fair_per_cluster():
-    reds, nxt = _monos([3, 1, 5], "red")
-    blues, _ = _monos([2, 2, 5], "blue", start_id=nxt)
-    inst = ColoredInstance.from_colors("R" * 9 + "B" * 9, 1, 1)
-    for cluster in greedy_merge(reds, blues):
-        blue = sum(1 for u in cluster if inst.role_is_blue(u))
-        assert 2 * blue == len(cluster)
+    inst, clu = mono_instance([3, 1, 5], [2, 2, 5])
+    out = find_closest_fair_11(inst, clu)
+    for cluster in out.members:
+        assert 2 * len(_blue_ids(inst, cluster)) == len(cluster)
+
+
+def test_greedy_pairing_direction_and_ties():
+    # red blocks 0, 1 of sizes [1, 3], blue blocks 2, 3 of sizes [2, 2]:
+    # red 0 is used up by 1 blue from block 2; the blue left in block 2 is
+    # used up by 1 red from block 1; then red 1 and blue 3 tie at 2, which
+    # counts as the red block used up, so the blues join it
+    inst, clu = mono_instance([1, 3], [2, 2])
+    out, _, transcript = closest_fair(inst, clu)
+    steps = [(m.src, m.dst, len(m.points)) for m in transcript.moves]
+    assert steps == [(2, 0, 1), (1, 2, 1), (3, 1, 2)]
+    assert is_fair(inst, out)
+    audit_transcript(clu, out, transcript)
 
 
 def test_greedy_cost_formula_on_random_mono_inputs():
@@ -133,7 +140,7 @@ def test_optimality_on_random_instances():
     for seed in range(220):
         n = [6, 8, 10][seed % 3]
         inst, clu = gen_random(n, 1, 1, 1 + seed % n, seed=seed)
-        out, transcript = find_closest_fair_11_with_transcript(inst, clu)
+        out, _, transcript = closest_fair(inst, clu)
         assert is_fair(inst, out), seed
         d = audit_transcript(clu, out, transcript)
         assert d == oracle_closest_fair(inst, clu).optimum, seed

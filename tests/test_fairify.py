@@ -10,27 +10,24 @@ from fairmerge import (
     oracle_closest_fair,
 )
 from fairmerge.errors import InfeasibleFairness, NotBalanced
-from fairmerge.fairify import TypeTag, classify, red_imbalance
-from fairmerge.model import ClusterStats
 
 from support import audit_transcript, counts_instance
 
 
 def test_classify_and_imbalance():
-    st = ClusterStats.from_counts(2, 2, p=2, q=1)  # reds 2, needs 1
-    assert red_imbalance(st, 2, 1) == 1
-    assert classify(st, 2, 1) is TypeTag.TYPE_RED
-    st = ClusterStats.from_counts(1, 4, p=2, q=1)
-    assert red_imbalance(st, 2, 1) == -1
-    assert classify(st, 2, 1) is TypeTag.TYPE_BLUE
-    st = ClusterStats.from_counts(2, 4, p=2, q=1)
-    assert classify(st, 2, 1) is TypeTag.NEUTRAL
+    # p=2, q=1: (2B, 2R) has one spare red, (4B, 1R) misses one, (4B, 2R) is fair
+    inst, clu = counts_instance([(2, 2), (4, 1), (4, 2)], p=2, q=1)
+    out, transcript = make_clusters_fair(inst, clu)
+    assert [(m.src, m.dst, len(m.points)) for m in transcript.moves] == [(0, 1, 1)]
+    assert not inst.role_is_blue(transcript.moves[0].points[0])
+    assert is_fair(inst, out)
 
 
 def test_red_imbalance_requires_balanced():
-    st = ClusterStats.from_counts(1, 3, p=2, q=1)
+    # feasible totals, but cluster 0's blue count 3 is not a multiple of p=2
+    inst, clu = counts_instance([(3, 1), (1, 1)], p=2, q=1)
     with pytest.raises(NotBalanced):
-        red_imbalance(st, 2, 1)
+        make_clusters_fair(inst, clu)
 
 
 def test_identity_on_fair_input():

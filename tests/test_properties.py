@@ -1,8 +1,9 @@
-"""Seeded property tests of closest_fair over small random instances.
+"""Seeded property tests of closest_fair over small random instances,
+and of the pairing walk every stage shares.
 
 Examples are derandomized and bounded, so every run checks the same
-instances; each property holds in every regime and for either majority
-color.
+instances; each closest_fair property holds in every regime and for
+either majority color.
 """
 
 import pytest
@@ -20,6 +21,7 @@ from fairmerge import (
     is_fair,
     normalize,
 )
+from fairmerge.mergeloop import pair_off
 
 from support import swap_colors
 
@@ -87,3 +89,28 @@ def test_swapping_colors_and_ratio_gives_the_identical_output(case):
         assert _same_run(a, b)
     else:  # equal totals: the swap also swaps which color plays the majority role
         assert a[0] == b[0] and a[1] == b[1]
+
+
+AMOUNTS = st.lists(st.integers(1, 9), max_size=12)
+
+
+@SEEDED
+@given(AMOUNTS, AMOUNTS)
+def test_pair_off_walks_in_order_and_conserves_amounts(supply, demand):
+    steps = pair_off(supply, demand)
+    # in order: each step moves at least one cursor forward, never back
+    pairs = [(i, j) for i, j, _ in steps]
+    assert pairs == sorted(set(pairs))
+    assert all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(pairs, pairs[1:]))
+    assert all(k > 0 for *_, k in steps)
+    total = min(sum(supply), sum(demand))
+    assert sum(k for *_, k in steps) == total
+    # each amount is handed on whole, except the one the walk stopped inside
+    for side, sizes in enumerate((supply, demand)):
+        handed = [0] * len(sizes)
+        for step in steps:
+            handed[step[side]] += step[2]
+        assert all(h <= a for h, a in zip(handed, sizes))
+        short = [x for x, (h, a) in enumerate(zip(handed, sizes)) if h < a]
+        if short:
+            assert all(h == 0 for h in handed[short[0] + 1:])

@@ -1,4 +1,4 @@
-"""The move log: one-pass pricing, lazily built moves and move errors."""
+"""The move log: one-pass pricing, lazily built moves, replay and move errors."""
 
 import weakref
 
@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from fairmerge import ColoredInstance, dist_fast, normalize
-from fairmerge.errors import BadClusterId, FairmergeError, InvalidArgument
+from fairmerge.errors import BadClusterId, FairmergeError, InvalidArgument, ReplayMismatch
 from fairmerge.transcript import ClusterState, Move
+
+from support import replay_pairwise
 
 
 def _state(colors: str, labels, p: int = 1, q: int = 1) -> ClusterState:
@@ -36,6 +38,8 @@ def _assert_priced_like_replay(state: ClusterState) -> None:
     replayed, total = transcript.replay(state.baseline)
     assert replayed == state.to_clustering()
     assert total == transcript.total_cost == sum(costs)
+    # the sequential replay agrees with the pairwise reference
+    assert replay_pairwise(transcript, state.baseline) == (replayed, total)
 
 
 def test_vectorized_costs_match_replay_on_crafted_moves():
@@ -100,6 +104,17 @@ def test_transcript_does_not_keep_the_state_alive():
     assert ref() is None
     assert transcript.moves == [Move((0, 2), 0, 1, transcript.total_cost)]
     assert transcript.replay(normalize([0] * 4 + [1] * 4))[0] == expected
+
+
+def test_replay_on_a_baseline_that_lacks_a_moved_point_names_the_move():
+    state = _state("BR" * 4, [0] * 4 + [1] * 4)
+    state.move(0, 1, "blue", 1)  # point 2
+    other = normalize([0, 0, 1, 1, 1, 1, 1, 1])  # point 2 is in cluster 1 here
+    with pytest.raises(ReplayMismatch, match=r"move 0: point 2 is not in cluster 0"):
+        state.transcript.replay(other)
+    with pytest.raises(ReplayMismatch):
+        state.transcript.replay(normalize([0, 0]))  # too few points
+    assert issubclass(ReplayMismatch, FairmergeError)
 
 
 @pytest.mark.parametrize(
