@@ -1,7 +1,7 @@
 """Closest fair clustering and fair consensus clustering of red/blue point sets."""
 
-from .balance_fractional import CaseTag, balance_pq, detect_case
-from .balance_integral import balance_p, cut_merge_costs
+from .balance_fractional import balance_pq
+from .balance_integral import balance_p
 from .distance import ConsensusObjective, dist, dist_fast, lmean
 from .errors import FairmergeError
 from .exact import find_closest_fair_11
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BELL_NUMBERS",
-    "CaseTag",
     "ClusterState",
     "ClusterStats",
     "Clustering",
@@ -56,8 +55,6 @@ __all__ = [
     "balance_pq",
     "closest_fair",
     "cluster_stats",
-    "cut_merge_costs",
-    "detect_case",
     "dist",
     "dist_fast",
     "enum_partitions",

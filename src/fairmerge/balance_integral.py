@@ -1,52 +1,23 @@
 """3.5-close balancing for an integral blue:red ratio (q = 1).
 
-A cluster whose blue count is not a multiple of p carries a surplus
-s = blue mod p.  Clusters with s <= p/2 are cheaper to cut, the rest
-cheaper to top up.  The driver first transfers surplus blues from cut
-clusters into merge clusters; whichever side is left over is finished by
-either packing surpluses into fresh all-blue clusters of size p, or by
-cutting minimum-cost blocks to service the remaining deficits.
+Every cluster's blue count goes to a multiple of p through the balancing
+body of ``balance_fractional``, with blue its only color.
 """
 
 from __future__ import annotations
 
-from .errors import InfeasibleFairness, SurplusNotMultipleOfP, WrongRatio
-from .model import Clustering, ClusterStats, ColoredInstance, all_stats
-from .mergeloop import make_donor_blocks, pack_extras, run_merge_subsets, transfer
+from .balance_fractional import _balance
+from .errors import InfeasibleFairness, WrongRatio
+from .model import Clustering, ColoredInstance
 from .transcript import ClusterState, Transcript
 
-
-def cut_merge_costs(stats: ClusterStats, p: int) -> tuple[int, int]:
-    """Pair cost of removing the surplus vs adding the deficit.
-
-    cut = s * (size - s), the pairs broken by extracting s points;
-    merge = d * size, the pairs created by adopting d foreign points.
-    """
-    s = stats.blue_count % p
-    d = (p - s) % p
-    return s * (stats.size - s), d * stats.size
+# Unused here: bench/tracing.py wraps these names in both balancer modules.
+from .model import all_stats
+from .mergeloop import make_donor_blocks, pack_extras, run_merge_subsets
 
 
 def _balance_p(state: ClusterState) -> None:
-    p = state.instance.p
-    stats = all_stats(state.instance, state.baseline)
-    balanced, cut_rem, merge_rem = transfer(state, "blue", p, stats.s_b)
-    if cut_rem:
-        pack_extras(state, cut_rem, "blue", p, SurplusNotMultipleOfP)
-    elif merge_rem:
-        receivers = set(merge_rem)
-        donors = {
-            c: make_donor_blocks(state, c, "blue", p, 0, is_receiver=c in receivers)
-            for c in balanced + merge_rem
-        }
-        run_merge_subsets(
-            state,
-            color="blue",
-            modulus=p,
-            donors=donors,
-            receivers=merge_rem,
-            meta_prefix="merge",
-        )
+    _balance(state, (("blue", state.instance.p),), "merge")
 
 
 def balance_p(instance: ColoredInstance, clustering: Clustering) -> tuple[Clustering, Transcript]:

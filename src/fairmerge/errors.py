@@ -37,10 +37,6 @@ class SurplusNotMultiple(FairmergeError):
     """Leftover surpluses do not pack into whole extra clusters."""
 
 
-class SurplusNotMultipleOfP(SurplusNotMultiple):
-    """Blue surpluses of the remaining cut clusters are not a multiple of p."""
-
-
 class ReplayMismatch(FairmergeError):
     """A transcript moves a point out of a cluster that does not hold it."""
 

@@ -135,13 +135,7 @@ def make_donor_blocks(
     )
 
 
-def pack_extras(
-    state: ClusterState,
-    donors: list[int],
-    color: str,
-    modulus: int,
-    error: type[SurplusNotMultiple] = SurplusNotMultiple,
-) -> int:
+def pack_extras(state: ClusterState, donors: list[int], color: str, modulus: int) -> int:
     """Cut every donor's surplus and pack into extra clusters of modulus size.
 
     Donors are consumed in the given order, first-fit.  Returns the number
@@ -153,7 +147,7 @@ def pack_extras(
     if total == 0:
         return 0
     if total % modulus:
-        raise error(f"total {color} surplus {total} not a multiple of {modulus}")
+        raise SurplusNotMultiple(f"total {color} surplus {total} not a multiple of {modulus}")
     extras: list[int] = []
     for i, j, k in pair_off([s for _, s in surplus], [modulus] * (total // modulus)):
         if j == len(extras):

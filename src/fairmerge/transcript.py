@@ -345,9 +345,6 @@ class ClusterState:
     def size(self, key: int) -> int:
         return self.clusters[key].size
 
-    def alive_keys(self) -> list[int]:
-        return [k for k, c in enumerate(self.clusters) if c.size > 0]
-
     # -- mutation -----------------------------------------------------
 
     def new_cluster(self) -> int:

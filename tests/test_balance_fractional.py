@@ -1,10 +1,8 @@
 import pytest
 
 from fairmerge import (
-    CaseTag,
     balance_p,
     balance_pq,
-    detect_case,
     dist_fast,
     gen_random,
     is_balanced,
@@ -24,18 +22,24 @@ def _pq_invariants(inst, clu):
     return out, transcript
 
 
+def _case(inst, clu) -> str:
+    return balance_pq(inst, clu)[1].meta["case"]
+
+
 def test_detect_case_already_balanced_is_cut_cut():
     inst, clu = counts_instance([(3, 2), (6, 4)], p=3, q=2)
-    assert detect_case(inst, clu) is CaseTag.CUT_CUT
+    assert _case(inst, clu) == "cut-cut"
 
 
 def test_detect_case_merge_deficit_only_blue():
     # one blue-merge cluster, no blue surplus anywhere, red sides tied
     inst, clu = counts_instance([(2, 2), (2, 2), (2, 0)], p=3, q=2)
-    assert detect_case(inst, clu) is CaseTag.MERGE_MERGE
+    assert _case(inst, clu) == "merge-merge"
 
 
 def test_detect_case_matches_direct_sums():
+    # reference: per color, total cut-side surplus against total merge-side
+    # deficit; ties go to the cut side
     for seed in range(40):
         p, q = [(3, 2), (5, 2), (5, 3)][seed % 3]
         n = (p + q) * max(1, 10 // (p + q))
@@ -50,15 +54,15 @@ def test_detect_case_matches_direct_sums():
                 bc += st.s_b
             else:
                 bm += p - st.s_b
-        got = detect_case(inst, clu)
+        got = _case(inst, clu)
         if rc >= rm and bc >= bm:
-            assert got is CaseTag.CUT_CUT
+            assert got == "cut-cut"
         elif rc > rm and bc < bm:
-            assert got is CaseTag.CUT_MERGE
+            assert got == "cut-merge"
         elif rc < rm and bc > bm:
-            assert got is CaseTag.MERGE_CUT
+            assert got == "merge-cut"
         else:
-            assert got is CaseTag.MERGE_MERGE
+            assert got == "merge-merge"
 
 
 def test_balance_pq_identity_when_balanced():
@@ -70,8 +74,8 @@ def test_balance_pq_identity_when_balanced():
 def test_balance_pq_worked_example():
     # p=3,q=2: A(4B,3R) and B(5B,3R): one blue transfer, then a red extra
     inst, clu = counts_instance([(4, 3), (5, 3)], p=3, q=2)
-    assert detect_case(inst, clu) is CaseTag.CUT_CUT
     out, transcript = _pq_invariants(inst, clu)
+    assert transcript.meta["case"] == "cut-cut"
     assert dist_fast(clu, out) == 26
     # a fresh all-red cluster of size q appears
     reds_only = [
@@ -114,8 +118,8 @@ def test_merge_merge_crafted_small():
 
 def test_cut_merge_crafted_small():
     inst, clu = counts_instance([(2, 1), (2, 1), (2, 2)], p=3, q=2)
-    assert detect_case(inst, clu) is CaseTag.CUT_MERGE
     out, transcript = _pq_invariants(inst, clu)
+    assert transcript.meta["case"] == "cut-merge"
     d = dist_fast(clu, out)
     opt = oracle_closest_balanced(inst, clu).optimum
     assert 2 * d <= 15 * opt
@@ -124,8 +128,8 @@ def test_cut_merge_crafted_small():
 def test_merge_cut_crafted_structural():
     # red deficits dominate, blue surpluses dominate; beyond the oracle cap
     inst, clu = counts_instance([(6, 2), (7, 2), (2, 2)], p=5, q=3)
-    assert detect_case(inst, clu) is CaseTag.MERGE_CUT
     out, transcript = _pq_invariants(inst, clu)
+    assert transcript.meta["case"] == "merge-cut"
     assert transcript.meta["red_merge_w"] == 3
     assert transcript.meta["red_merge_subsets_cut"] == 1
 
@@ -133,8 +137,8 @@ def test_merge_cut_crafted_structural():
 def test_merge_merge_both_colors_structural():
     # red and blue deficits at once; doubly deficient clusters receive both
     inst, clu = counts_instance([(3, 2), (3, 2), (3, 2), (3, 0)], p=4, q=3)
-    assert detect_case(inst, clu) is CaseTag.MERGE_MERGE
     out, transcript = _pq_invariants(inst, clu)
+    assert transcript.meta["case"] == "merge-merge"
     assert transcript.meta["red_merge_w"] == 3
     assert transcript.meta["blue_merge_w"] == 4
 
@@ -247,11 +251,10 @@ def test_subroutine_merge_merge():
             [(0, 1, 1), (0, 2, 1), (3, 0, 1), (3, 1, 1), (3, 2, 1)],
         ),
     ],
-    ids=[tag.value for tag in CaseTag],
+    ids=["cut-cut", "cut-merge", "merge-cut", "merge-merge"],
 )
 def test_each_residue_case_runs_its_branch(counts, p, q, meta, steps):
     inst, clu = counts_instance(counts, p=p, q=q)
-    assert detect_case(inst, clu).value == meta["case"]
     out, transcript = _pq_invariants(inst, clu)
     assert transcript.meta == meta
     assert [(m.src, m.dst, len(m.points)) for m in transcript.moves] == steps

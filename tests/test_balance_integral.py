@@ -2,7 +2,6 @@ import pytest
 
 from fairmerge import (
     balance_p,
-    cut_merge_costs,
     dist_fast,
     gen_random,
     is_balanced,
@@ -10,19 +9,9 @@ from fairmerge import (
 )
 from fairmerge.errors import WrongRatio
 from fairmerge.mergeloop import make_donor_blocks
-from fairmerge.model import ClusterStats
 from fairmerge.transcript import ClusterState
 
 from support import assert_subset_identities, audit_transcript, counts_instance
-
-
-def test_cut_merge_cost_examples():
-    st = ClusterStats.from_counts(3, 7, p=3, q=1)  # size 10, s=1, d=2
-    assert cut_merge_costs(st, 3) == (9, 20)
-    st = ClusterStats.from_counts(0, 7, p=4, q=1)  # size 7, s=3, d=1
-    assert cut_merge_costs(st, 4) == (12, 7)
-    st = ClusterStats.from_counts(2, 8, p=4, q=1)  # s=0
-    assert cut_merge_costs(st, 4) == (0, 0)
 
 
 def test_subset_cost_examples():
@@ -34,6 +23,15 @@ def test_subset_cost_examples():
     # a still-deficient donor: cutting its surplus also cancels its merge cost 20
     blocks = make_donor_blocks(ClusterState(inst, clu), 0, "blue", 3, 0, is_receiver=True)
     assert blocks.block_cost(0, 3) == 9 - 20
+    # size 7, all blue, p=4: cutting the surplus 3 costs 3 * 4, topping up the deficit 1 costs 7
+    inst, clu = counts_instance([(7, 0)], p=4, q=1)
+    state = ClusterState(inst, clu)
+    assert make_donor_blocks(state, 0, "blue", 4, 0, is_receiver=False).block_cost(0, 4) == 12
+    assert make_donor_blocks(state, 0, "blue", 4, 0, is_receiver=True).block_cost(0, 4) == 12 - 7
+    # no surplus: block 0 is empty and costs nothing
+    inst, clu = counts_instance([(8, 2)], p=4, q=1)
+    blocks = make_donor_blocks(ClusterState(inst, clu), 0, "blue", 4, 0, is_receiver=False)
+    assert (blocks.block_cost(0, 4), blocks.s0, blocks.nsub) == (0, 0, 2)
 
 
 def test_balance_p_identity_when_already_balanced():

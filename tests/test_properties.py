@@ -1,5 +1,6 @@
-"""Seeded property tests of closest_fair over small random instances,
-and of the pairing walk every stage shares.
+"""Seeded property tests of closest_fair over small random instances, of
+the two balancing entry points on integral ratios, and of the pairing
+walk every stage shares.
 
 Examples are derandomized and bounded, so every run checks the same
 instances; each closest_fair property holds in every regime and for
@@ -30,9 +31,9 @@ SEEDED = settings(derandomize=True, max_examples=60, deadline=None, database=Non
 
 
 @st.composite
-def instances(draw):
+def instances(draw, ratios=RATIOS):
     """A feasible instance of up to 64 points and any clustering of it."""
-    p, q = draw(st.sampled_from(RATIOS))
+    p, q = draw(st.sampled_from(ratios))
     units = draw(st.integers(1, 8))
     n = units * (p + q)
     order = draw(st.permutations(range(n)))
@@ -89,6 +90,17 @@ def test_swapping_colors_and_ratio_gives_the_identical_output(case):
         assert _same_run(a, b)
     else:  # equal totals: the swap also swaps which color plays the majority role
         assert a[0] == b[0] and a[1] == b[1]
+
+
+@SEEDED
+@given(instances(ratios=((2, 1), (3, 1), (4, 1), (1, 2))))
+def test_balance_p_and_balance_pq_agree_on_integral_ratios(case):
+    inst, clu = case
+    assert inst.q == 1
+    out_p, transcript_p = balance_p(inst, clu)
+    out_pq, transcript_pq = balance_pq(inst, clu)
+    assert out_p == out_pq
+    assert transcript_p.moves == transcript_pq.moves
 
 
 AMOUNTS = st.lists(st.integers(1, 9), max_size=12)
