@@ -9,12 +9,10 @@ from .fairify import make_clusters_fair
 from .generators import ReductionInstance, SplitMix64, gen_3partition_reduction, gen_random
 from .model import (
     Clustering,
-    ClusterStats,
     Color,
     ColoredInstance,
     StatsColumns,
     all_stats,
-    cluster_stats,
     is_balanced,
     is_fair,
     normalize,
@@ -36,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BELL_NUMBERS",
     "ClusterState",
-    "ClusterStats",
     "Clustering",
     "Color",
     "ColoredInstance",
@@ -54,7 +51,6 @@ __all__ = [
     "balance_p",
     "balance_pq",
     "closest_fair",
-    "cluster_stats",
     "dist",
     "dist_fast",
     "enum_partitions",

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, NotDivisibleBy3, OutOfRangeElement
-from .model import Clustering, Color, ColoredInstance, normalize
+from .errors import Infeasible, InvalidArgument, NotDivisibleBy3, OutOfRangeElement
+from .model import Clustering, Color, ColoredInstance, _ratio_part, normalize
 
 _MASK = (1 << 64) - 1
 
@@ -84,7 +84,10 @@ def gen_random(
     shares after reduction); points land in k nonempty clusters.  The
     draws are those of one ``SplitMix64(seed)``: a shuffle of the colors,
     a shuffle of the point order, then one label per remaining point.
+    Raises :class:`InvalidArgument` for a ratio part that is not a positive
+    integer.
     """
+    p, q = _ratio_part(p), _ratio_part(q)
     g = math.gcd(p, q)
     p, q = p // g, q // g
     if n < p + q:
@@ -128,7 +131,10 @@ class ReductionInstance:
 
 def gen_3partition_reduction(elements, p: int, q: int = 1) -> ReductionInstance:
     """Encode a 3-partition multiset as a closest-fair decision instance."""
-    xs = tuple(int(x) for x in elements)
+    try:
+        xs = tuple(int(x) for x in elements)
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"3-partition elements must be integers, got {elements!r}") from None
     if p < 2:
         raise Infeasible("reduction needs p >= 2")
     if q < 1 or math.gcd(p, q) != 1 or (q > 1 and p <= q):

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadClusterId, InfeasibleFairness, InvalidArgument, LengthMismatch
+from .errors import InfeasibleFairness, InvalidArgument, LengthMismatch, SizeMismatch
 
 
 class Color(Enum):
@@ -116,10 +116,6 @@ class ColoredInstance:
         """The given colors as a string over ``R``/``B``."""
         return np.where(self.blue_mask, ord("B"), ord("R")).astype(np.uint8).tobytes().decode("ascii")
 
-    def role_is_blue(self, i: int) -> bool:
-        """True when point ``i`` plays the majority ("blue") role."""
-        return bool(self.blue_mask[i]) != self.swapped
-
     @cached_property
     def role_blue_mask(self) -> np.ndarray:
         if not self.swapped:
@@ -163,7 +159,7 @@ class Clustering:
     Labels are contiguous ints 0..k-1 assigned by first occurrence; build
     instances through :func:`normalize` so this invariant always holds.
     Every cluster is nonempty.  The array is the only stored form; the
-    tuple views ``labels`` and ``members`` are built on first use.
+    tuple view ``labels`` is built on first use.
     """
 
     def __init__(self, labels: Sequence[int] | np.ndarray, k: int) -> None:
@@ -197,17 +193,6 @@ class Clustering:
     def labels(self) -> tuple[int, ...]:
         """One label per point as Python ints."""
         return tuple(self._array.tolist())
-
-    @cached_property
-    def members(self) -> tuple[tuple[int, ...], ...]:
-        """Point ids per cluster, each ascending."""
-        order = np.argsort(self._array, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(self._array, minlength=self._k)).tolist()
-        out, start = [], 0
-        for end in ends:
-            out.append(tuple(order[start:end]))
-            start = end
-        return tuple(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Clustering):
@@ -262,104 +247,45 @@ def normalize(labels: Sequence[int] | np.ndarray, n: int | None = None) -> Clust
     return Clustering._adopt(new, k)
 
 
-@dataclass(frozen=True)
-class ClusterStats:
-    """Red/blue counts of one cluster and their mod-p / mod-q arithmetic.
-
-    ``s_b``/``s_r`` are the surpluses (counts mod p resp. q); ``d_b``/``d_r``
-    the deficits up to the next multiple, zero when already divisible.
-    """
-
-    red_count: int
-    blue_count: int
-    s_r: int
-    s_b: int
-    d_r: int
-    d_b: int
-    size: int
-    p: int
-    q: int
-
-    @classmethod
-    def from_counts(cls, red_count: int, blue_count: int, p: int, q: int) -> "ClusterStats":
-        s_r = red_count % q
-        s_b = blue_count % p
-        return cls(
-            red_count=red_count,
-            blue_count=blue_count,
-            s_r=s_r,
-            s_b=s_b,
-            d_r=(q - s_r) % q,
-            d_b=(p - s_b) % p,
-            size=red_count + blue_count,
-            p=p,
-            q=q,
-        )
-
-    @property
-    def is_balanced(self) -> bool:
-        return self.s_r == 0 and self.s_b == 0
-
-    @property
-    def is_fair(self) -> bool:
-        return self.blue_count * self.q == self.red_count * self.p
+def check_size(instance: ColoredInstance, clustering: Clustering) -> None:
+    """Raise :class:`SizeMismatch` unless the clustering has one label per instance point."""
+    if clustering.n != instance.n:
+        raise SizeMismatch(f"clustering over {clustering.n} points for an instance of {instance.n}")
 
 
 def _role_counts(instance: ColoredInstance, clustering: Clustering) -> tuple[np.ndarray, np.ndarray]:
     """Blue-role and red-role point counts per cluster, from one bincount."""
+    check_size(instance, clustering)
     key = clustering.labels_array() * 2 + instance.role_blue_mask
     both = np.bincount(key, minlength=2 * clustering.k)
     return both[1::2], both[0::2]
 
 
-def cluster_stats(instance: ColoredInstance, clustering: Clustering, cluster_id: int) -> ClusterStats:
-    """Counts and surplus/deficit fields for one cluster."""
-    if not 0 <= cluster_id < clustering.k:
-        raise BadClusterId(f"cluster id {cluster_id} not in 0..{clustering.k - 1}")
-    in_cluster = clustering.labels_array() == cluster_id
-    blue = int(np.count_nonzero(in_cluster & instance.role_blue_mask))
-    return ClusterStats.from_counts(int(np.count_nonzero(in_cluster)) - blue, blue, instance.p, instance.q)
+def _divmod(counts: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``counts // m`` and ``counts % m`` for counts in [0, n], any m >= 1.
 
-
-def _residues(counts: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``counts % m`` and the deficit to the next multiple, for counts in [0, n].
-
-    Exact for any modulus m >= 1: one above int64 makes the deficits
-    Python ints.
+    A modulus above n acts like n + 1 on such counts, which keeps it in int64.
     """
-    s = counts % min(m, n + 1)
-    gap = m - (s if m < 2**62 else s.astype(object))
-    return s, np.where(s > 0, gap, 0)
+    return np.divmod(counts, min(m, n + 1))
 
 
-class StatsColumns(Sequence):
-    """Per-cluster stats as read-only numpy columns, one entry per cluster.
+class StatsColumns:
+    """Per-cluster counts as read-only numpy columns, one entry per cluster.
 
-    ``red``, ``blue``, ``s_r``, ``s_b``, ``d_r``, ``d_b`` and ``size`` carry
-    the :class:`ClusterStats` fields of every cluster; item ``i`` builds
-    cluster ``i``'s ``ClusterStats`` only when it is read.
+    ``red`` and ``blue`` count each cluster's red-role and blue-role points;
+    ``s_r`` and ``s_b`` are their surpluses, ``red % q`` and ``blue % p``.
     """
 
     def __init__(self, red: np.ndarray, blue: np.ndarray, p: int, q: int, n: int) -> None:
-        self.p, self.q = p, q
         self.red, self.blue = red, blue
-        self.s_r, self.d_r = _residues(red, q, n)
-        self.s_b, self.d_b = _residues(blue, p, n)
-        self.size = red + blue
-        for col in (self.red, self.blue, self.s_r, self.s_b, self.d_r, self.d_b, self.size):
+        self.s_r = _divmod(red, q, n)[1]
+        self.s_b = _divmod(blue, p, n)[1]
+        for col in (self.red, self.blue, self.s_r, self.s_b):
             col.flags.writeable = False
-
-    def __len__(self) -> int:
-        return self.red.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return ClusterStats.from_counts(int(self.red[i]), int(self.blue[i]), self.p, self.q)
 
 
 def all_stats(instance: ColoredInstance, clustering: Clustering) -> StatsColumns:
-    """Per-cluster stats for the whole clustering in one pass, as columns."""
+    """Per-cluster counts and surpluses for the whole clustering in one pass."""
     blue, red = _role_counts(instance, clustering)
     return StatsColumns(red, blue, instance.p, instance.q, instance.n)
 
@@ -386,15 +312,6 @@ def validate_balance_feasible(instance: ColoredInstance) -> None:
         )
 
 
-def _divides(counts: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``counts % m == 0`` and ``counts // m`` for counts in [0, n], any m >= 1.
-
-    A modulus above n acts like n + 1 on such counts, which keeps it in int64.
-    """
-    m = min(m, n + 1)
-    return counts % m == 0, counts // m
-
-
 def is_fair(instance: ColoredInstance, clustering: Clustering) -> bool:
     """True when every cluster's blue:red ratio equals p/q exactly.
 
@@ -402,14 +319,14 @@ def is_fair(instance: ColoredInstance, clustering: Clustering) -> bool:
     divides red and the quotients agree; that form cannot overflow.
     """
     blue, red = _role_counts(instance, clustering)
-    b_ok, b_units = _divides(blue, instance.p, instance.n)
-    r_ok, r_units = _divides(red, instance.q, instance.n)
-    return bool(np.all(b_ok & r_ok & (b_units == r_units)))
+    b_units, s_b = _divmod(blue, instance.p, instance.n)
+    r_units, s_r = _divmod(red, instance.q, instance.n)
+    return bool(np.all((s_b == 0) & (s_r == 0) & (b_units == r_units)))
 
 
 def is_balanced(instance: ColoredInstance, clustering: Clustering) -> bool:
     """True when every cluster has blue divisible by p and red by q."""
     blue, red = _role_counts(instance, clustering)
-    blue_ok = _divides(blue, instance.p, instance.n)[0]
-    red_ok = _divides(red, instance.q, instance.n)[0]
-    return bool(np.all(blue_ok & red_ok))
+    s_b = _divmod(blue, instance.p, instance.n)[1]
+    s_r = _divmod(red, instance.q, instance.n)[1]
+    return bool(np.all((s_b == 0) & (s_r == 0)))

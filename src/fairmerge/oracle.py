@@ -19,10 +19,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .distance import lmean
-from .errors import EmptyInput, InfeasibleFairness, ParseError, TooLarge
+from .errors import EmptyInput, InfeasibleFairness, InvalidArgument, ParseError, TooLarge
 from .model import (
     Clustering,
     ColoredInstance,
+    check_size,
     normalize,
     validate_balance_feasible,
     validate_feasible,
@@ -61,7 +62,7 @@ def enum_partitions(n: int) -> Iterator[Clustering]:
     """Every partition of {0..n-1} exactly once, in restricted-growth
     lexicographic order."""
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise InvalidArgument(f"n must be non-negative, got {n}")
     if n > oracle_cap():
         raise TooLarge(f"n = {n} exceeds the enumeration cap {oracle_cap()}")
     if n == 0:
@@ -135,7 +136,8 @@ def _pair_bits(chunk: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bits_of(clustering: Clustering) -> np.ndarray:
+def _bits_of(instance: ColoredInstance, clustering: Clustering) -> np.ndarray:
+    check_size(instance, clustering)
     return _pair_bits(clustering.labels_array()[None, :].astype(np.int8))[0]
 
 
@@ -169,7 +171,7 @@ def _closest_filtered(
     instance: ColoredInstance, clustering: Clustering, mask_fn
 ) -> OracleResult:
     n = instance.n
-    bits = _bits_of(clustering)
+    bits = _bits_of(instance, clustering)
     best_val: int | None = None
     best_row: np.ndarray | None = None
     total = 0
@@ -236,7 +238,7 @@ def oracle_consensus(
     validate_feasible(instance)
     n = instance.n
     m = len(clusterings)
-    bits = [_bits_of(d) for d in clusterings]
+    bits = [_bits_of(instance, d) for d in clusterings]
     best_key = None
     best_dists: list[int] | None = None
     total = 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadClusterId, InvalidArgument, ReplayMismatch
-from .model import Clustering, ColoredInstance, normalize
+from .model import Clustering, ColoredInstance, check_size, normalize
 
 
 @dataclass(frozen=True)
@@ -311,6 +311,7 @@ class ClusterState:
     """
 
     def __init__(self, instance: ColoredInstance, clustering: Clustering) -> None:
+        check_size(instance, clustering)
         self.instance = instance
         self.baseline = clustering
         self._base_labels = clustering.labels_array()

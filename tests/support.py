@@ -9,13 +9,21 @@ from fairmerge.model import Clustering
 from fairmerge.transcript import Transcript
 
 
+def members(clustering: Clustering) -> tuple[tuple[int, ...], ...]:
+    """Point ids per cluster, each ascending."""
+    out: list[list[int]] = [[] for _ in range(clustering.k)]
+    for u, c in enumerate(clustering.labels):
+        out[c].append(u)
+    return tuple(map(tuple, out))
+
+
 def replay_pairwise(transcript: Transcript, baseline: Clustering) -> tuple[Clustering, int]:
     """Reference replay: re-apply the moves and price every real point pair.
 
     Quadratic in cluster sizes, so only for small inputs; ``Transcript.replay``
     is checked against it.
     """
-    clusters: dict[int, set[int]] = {c: set(pts) for c, pts in enumerate(baseline.members)}
+    clusters: dict[int, set[int]] = {c: set(pts) for c, pts in enumerate(members(baseline))}
     base = baseline.labels
     total = 0
     for mv in transcript.moves:

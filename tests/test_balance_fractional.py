@@ -11,7 +11,7 @@ from fairmerge import (
 from fairmerge.errors import InfeasibleFairness
 from fairmerge.model import all_stats
 
-from support import assert_subset_identities, audit_transcript, counts_instance, swap_colors
+from support import assert_subset_identities, audit_transcript, counts_instance, members, swap_colors
 
 
 def _pq_invariants(inst, clu):
@@ -44,16 +44,10 @@ def test_detect_case_matches_direct_sums():
         p, q = [(3, 2), (5, 2), (5, 3)][seed % 3]
         n = (p + q) * max(1, 10 // (p + q))
         inst, clu = gen_random(n, p, q, 1 + seed % n, seed=seed)
-        rc = rm = bc = bm = 0
-        for st in all_stats(inst, clu):
-            if 2 * st.s_r <= q:
-                rc += st.s_r
-            else:
-                rm += q - st.s_r
-            if 2 * st.s_b <= p:
-                bc += st.s_b
-            else:
-                bm += p - st.s_b
+        st = all_stats(inst, clu)
+        red_cuts, blue_cuts = 2 * st.s_r <= q, 2 * st.s_b <= p
+        rc, rm = int(st.s_r[red_cuts].sum()), int((q - st.s_r[~red_cuts]).sum())
+        bc, bm = int(st.s_b[blue_cuts].sum()), int((p - st.s_b[~blue_cuts]).sum())
         got = _case(inst, clu)
         if rc >= rm and bc >= bm:
             assert got == "cut-cut"
@@ -79,8 +73,8 @@ def test_balance_pq_worked_example():
     assert dist_fast(clu, out) == 26
     # a fresh all-red cluster of size q appears
     reds_only = [
-        m for m in out.members
-        if len(m) == 2 and not any(inst.role_is_blue(u) for u in m)
+        m for m in members(out)
+        if len(m) == 2 and not any(inst.role_blue_mask[u] for u in m)
     ]
     assert len(reds_only) == 1
 

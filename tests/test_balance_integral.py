@@ -11,7 +11,7 @@ from fairmerge.errors import WrongRatio
 from fairmerge.mergeloop import make_donor_blocks
 from fairmerge.transcript import ClusterState
 
-from support import assert_subset_identities, audit_transcript, counts_instance
+from support import assert_subset_identities, audit_transcript, counts_instance, members
 
 
 def test_subset_cost_examples():
@@ -56,7 +56,7 @@ def test_balance_p_cut_residue_example():
     out, transcript = balance_p(inst, clu)
     assert is_balanced(inst, out)
     assert audit_transcript(clu, out, transcript) == 12
-    sizes = sorted(len(m) for m in out.members)
+    sizes = sorted(len(m) for m in members(out))
     assert sizes == [3, 3, 3, 3]
 
 
@@ -72,7 +72,7 @@ def test_cut_boundary_goes_to_cut_side():
     inst, clu = counts_instance([(6, 0), (6, 0)], p=4, q=1)
     out, transcript = balance_p(inst, clu)
     assert is_balanced(inst, out)
-    sizes = sorted(len(m) for m in out.members)
+    sizes = sorted(len(m) for m in members(out))
     assert sizes == [4, 4, 4]
     audit_transcript(clu, out, transcript)
 
@@ -90,7 +90,7 @@ def test_algo_for_cut_examples():
     inst, clu = counts_instance([(6, 1), (6, 2)], p=4, q=1)
     out, transcript = balance_p(inst, clu)
     assert is_balanced(inst, out)
-    extras = [m for m in out.members if len(m) == 4 and all(inst.role_is_blue(u) for u in m)]
+    extras = [m for m in members(out) if len(m) == 4 and all(inst.role_blue_mask[u] for u in m)]
     assert len(extras) == 1
 
     # surpluses {1,1,2} with p=4: cross-origin pairs inside the extra = 5

@@ -10,11 +10,11 @@ from fairmerge import (
 )
 from fairmerge.errors import InfeasibleFairness, WrongRatio
 
-from support import audit_transcript, counts_instance, mono_instance
+from support import audit_transcript, counts_instance, members, mono_instance
 
 
 def _blue_ids(inst, points):
-    return [u for u in points if inst.role_is_blue(u)]
+    return [u for u in points if inst.role_blue_mask[u]]
 
 
 def test_make_it_fair_examples():
@@ -24,8 +24,8 @@ def test_make_it_fair_examples():
     out, _, transcript = closest_fair(inst, clu)
     split = transcript.moves[0]
     assert (split.src, split.dst) == (0, 2)
-    assert list(split.points) == _blue_ids(inst, clu.members[0])[-2:]
-    assert sorted(len(m) for m in out.members) == [4, 6]
+    assert list(split.points) == _blue_ids(inst, members(clu)[0])[-2:]
+    assert sorted(len(m) for m in members(out)) == [4, 6]
     audit_transcript(clu, out, transcript)
 
     # an already fair cluster has no leftover: nothing moves
@@ -43,15 +43,16 @@ def test_make_it_fair_parts_partition_the_cluster():
     inst, clu = counts_instance([(5, 3), (0, 2)], p=1, q=1)
     out, _, transcript = closest_fair(inst, clu)
     leftover = transcript.moves[0].points
-    fair = [u for u in clu.members[0] if out.labels[u] == out.labels[clu.members[0][0]]]
+    first = members(clu)[0]
+    fair = [u for u in first if out.labels[u] == out.labels[first[0]]]
     assert len(fair) == 6
-    assert sorted(fair + list(leftover)) == list(clu.members[0])
+    assert sorted(fair + list(leftover)) == list(first)
 
 
 def test_greedy_merge_sizes_2_3_vs_1_4():
     inst, clu = mono_instance([2, 3], [1, 4])
     fair = find_closest_fair_11(inst, clu)
-    assert sorted(len(c) for c in fair.members) == [2, 2, 6]
+    assert sorted(len(c) for c in members(fair)) == [2, 2, 6]
     # distance from the monochromatic input equals (sum R^2 + sum B^2) / 2
     assert dist_fast(clu, fair) == 15
 
@@ -59,13 +60,13 @@ def test_greedy_merge_sizes_2_3_vs_1_4():
 def test_greedy_merge_single_pairing():
     inst, clu = mono_instance([4], [4])
     fair = find_closest_fair_11(inst, clu)
-    assert fair.k == 1 and len(fair.members[0]) == 8
+    assert fair.k == 1 and len(members(fair)[0]) == 8
 
 
 def test_greedy_merge_splits_pay_square_costs():
     inst, clu = mono_instance([1, 1], [2])
     fair = find_closest_fair_11(inst, clu)
-    assert sorted(len(m) for m in fair.members) == [2, 2]
+    assert sorted(len(m) for m in members(fair)) == [2, 2]
     assert dist_fast(clu, fair) == 3
 
 
@@ -78,7 +79,7 @@ def test_greedy_merge_unbalanced_totals():
 def test_greedy_merge_output_is_fair_per_cluster():
     inst, clu = mono_instance([3, 1, 5], [2, 2, 5])
     out = find_closest_fair_11(inst, clu)
-    for cluster in out.members:
+    for cluster in members(out):
         assert 2 * len(_blue_ids(inst, cluster)) == len(cluster)
 
 
@@ -151,14 +152,14 @@ def test_maximal_fair_part_preserved():
         n = 8
         inst, clu = gen_random(n, 1, 1, 1 + seed % n, seed=900 + seed)
         out = find_closest_fair_11(inst, clu)
-        for pts in clu.members:
-            blue = sum(1 for u in pts if inst.role_is_blue(u))
+        for pts in members(clu):
+            blue = sum(1 for u in pts if inst.role_blue_mask[u])
             want = min(blue, len(pts) - blue)
             if want == 0:
                 continue
             best = 0
-            for opts in out.members:
+            for opts in members(out):
                 inter = set(pts) & set(opts)
-                b = sum(1 for u in inter if inst.role_is_blue(u))
+                b = sum(1 for u in inter if inst.role_blue_mask[u])
                 best = max(best, min(b, len(inter) - b))
             assert best >= want, seed

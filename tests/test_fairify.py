@@ -19,7 +19,7 @@ def test_classify_and_imbalance():
     inst, clu = counts_instance([(2, 2), (4, 1), (4, 2)], p=2, q=1)
     out, transcript = make_clusters_fair(inst, clu)
     assert [(m.src, m.dst, len(m.points)) for m in transcript.moves] == [(0, 1, 1)]
-    assert not inst.role_is_blue(transcript.moves[0].points[0])
+    assert not inst.role_blue_mask[transcript.moves[0].points[0]]
     assert is_fair(inst, out)
 
 
@@ -78,7 +78,7 @@ def test_only_reds_move_and_conservation():
         assert is_fair(inst, out), seed
         audit_transcript(balanced, out, transcript)
         moved = [u for m in transcript.moves for u in m.points]
-        assert all(not inst.role_is_blue(u) for u in moved), seed
+        assert all(not inst.role_blue_mask[u] for u in moved), seed
         assert len(moved) == len(set(moved)), seed
 
 

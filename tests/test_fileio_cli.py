@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fairmerge import gen_random, normalize
+import fairmerge
+from fairmerge import gen_random, is_fair, normalize
 from fairmerge.cli import main
 from fairmerge.errors import ParseError, SizeMismatch
 from fairmerge.fileio import (
@@ -294,6 +299,9 @@ BAD_INPUTS = [
     ("gen-elements-not-integers", None, None,
      ["gen", "--kind", "reduction", "--s", "a,b", "--p", "2",
       "--out-instance", "{out}", "--out-clustering", "{out2}"], {}),
+    ("gen-zero-ratio", None, None,
+     ["gen", "--kind", "random", "--n", "10", "--p", "0", "--q", "0", "--k", "2", "--seed", "1",
+      "--out-instance", "{out}", "--out-clustering", "{out2}"], {}),
     ("oracle-cap-not-integer", None, None, ["oracle", "{inst}", "{a}"], {"FAIRMERGE_ORACLE_CAP": "abc"}),
     ("labels-bool", None, {"labels": [True, False] * 6}, ["dist", "{inst}", "{bad}", "{a}"], {}),
     ("label-beyond-int64", None, {"labels": [2**64 - 1] + [0] * 11}, ["dist", "{inst}", "{bad}", "{a}"], {}),
@@ -330,3 +338,25 @@ def test_cli_rejects_malformed_input_with_one_line(case, workspace, capsys, monk
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err and out == ""
     assert not (tmp_path / "out.json").exists()
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    src = str(Path(fairmerge.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def fairmerge_cli(*args):
+        argv = [sys.executable, "-m", "fairmerge", *map(str, args)]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+
+    inst, clu, out = tmp_path / "inst.json", tmp_path / "clu.json", tmp_path / "out.json"
+    gen = fairmerge_cli("gen", "--kind", "random", "--n", 12, "--p", 2, "--q", 1, "--k", 3, "--seed", 1,
+                        "--out-instance", inst, "--out-clustering", clu)
+    assert gen.returncode == 0, gen.stderr
+    fair = fairmerge_cli("closest-fair", inst, clu, "--out", out)
+    assert fair.returncode == 0, fair.stderr
+    assert is_fair(load_instance(inst), load_clustering(out, 12))
+    bad = fairmerge_cli("gen", "--kind", "random", "--n", 10, "--p", 0, "--q", 0, "--k", 2, "--seed", 1,
+                        "--out-instance", tmp_path / "x.json", "--out-clustering", tmp_path / "y.json")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1, bad.stderr
+    assert "Traceback" not in bad.stderr

@@ -7,10 +7,10 @@ from fairmerge import (
     oracle_closest_fair,
     validate_feasible,
 )
-from fairmerge.errors import Infeasible, NotDivisibleBy3, OutOfRangeElement
+from fairmerge.errors import Infeasible, InvalidArgument, NotDivisibleBy3, OutOfRangeElement
 from fairmerge.generators import splitmix64_draws
 
-from support import has_three_partition
+from support import has_three_partition, members
 
 
 def test_splitmix64_reference_stream():
@@ -50,13 +50,13 @@ def test_gen_random_always_feasible():
         inst, clu = gen_random(n, p, q, 1 + seed % n, seed=seed)
         validate_feasible(inst)
         assert clu.k >= 1
-        assert all(len(m) > 0 for m in clu.members)
+        assert all(len(m) > 0 for m in members(clu))
 
 
 def test_gen_random_singletons():
     _, clu = gen_random(6, 1, 1, 6, seed=3)
     assert clu.k == 6
-    assert all(len(m) == 1 for m in clu.members)
+    assert all(len(m) == 1 for m in members(clu))
 
 
 def test_gen_random_errors():
@@ -66,6 +66,9 @@ def test_gen_random_errors():
         gen_random(7, 2, 1, 1, seed=0)  # totals cannot hit the ratio exactly
     with pytest.raises(Infeasible):
         gen_random(6, 1, 1, 7, seed=0)  # more clusters than points
+    for p, q in [(0, 0), (2, 0), (-1, 1)]:
+        with pytest.raises(InvalidArgument):
+            gen_random(10, p, q, 2, seed=1)
 
 
 def test_reduction_tau_p2():
@@ -73,7 +76,7 @@ def test_reduction_tau_p2():
     assert red.t_sum == 10
     assert red.tau == 200
     assert not red.oracle_verifiable  # 30 points
-    sizes = sorted(len(m) for m in red.clustering.members)
+    sizes = sorted(len(m) for m in members(red.clustering))
     assert sizes == [3, 3, 4, 20]
 
 
@@ -87,9 +90,9 @@ def test_reduction_shape_q1():
     red = gen_3partition_reduction([1, 1, 1], p=2)
     inst, clu = red.instance, red.clustering
     assert inst.n == 9 and red.oracle_verifiable
-    blues = [m for m in clu.members if all(inst.role_is_blue(u) for u in m)]
+    blues = [m for m in members(clu) if all(inst.role_blue_mask[u] for u in m)]
     assert [len(m) for m in blues] == [6]
-    reds = [m for m in clu.members if not any(inst.role_is_blue(u) for u in m)]
+    reds = [m for m in members(clu) if not any(inst.role_blue_mask[u] for u in m)]
     assert sorted(len(m) for m in reds) == [1, 1, 1]
 
 
@@ -109,7 +112,7 @@ def test_reduction_q_scaling_marked_experimental():
     # red clusters scale by q
     inst, clu = red.instance, red.clustering
     red_sizes = sorted(
-        len(m) for m in clu.members if not any(inst.role_is_blue(u) for u in m)
+        len(m) for m in members(clu) if not any(inst.role_blue_mask[u] for u in m)
     )
     assert red_sizes == [6, 6, 8]
 
@@ -123,6 +126,8 @@ def test_reduction_errors():
         gen_3partition_reduction([1, 2, 3], p=2)  # 1 <= T/4 and 3 >= T/2
     with pytest.raises(Infeasible):
         gen_3partition_reduction([1, 1, 1], p=1)
+    with pytest.raises(InvalidArgument):
+        gen_3partition_reduction(["a"], 2)
 
 
 def test_reduction_warns_beyond_cap():

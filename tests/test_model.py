@@ -6,23 +6,31 @@ from fairmerge import (
     Color,
     ColoredInstance,
     all_stats,
-    cluster_stats,
+    balance_p,
+    balance_pq,
+    closest_fair,
+    fair_consensus,
+    find_closest_fair_11,
     gen_random,
     is_balanced,
     is_fair,
+    make_clusters_fair,
     normalize,
+    oracle_closest_balanced,
+    oracle_closest_fair,
+    oracle_consensus,
     validate_feasible,
 )
 from fairmerge.errors import (
-    BadClusterId,
     FairmergeError,
     InfeasibleFairness,
     InvalidArgument,
     LengthMismatch,
+    SizeMismatch,
 )
-from fairmerge.model import ClusterStats, _first_occurrence_dense, _first_occurrence_sorted
+from fairmerge.model import _first_occurrence_dense, _first_occurrence_sorted
 
-from support import counts_instance
+from support import counts_instance, members
 
 
 def test_normalize_first_occurrence():
@@ -63,34 +71,29 @@ def test_normalize_length_mismatch():
         normalize([0, 1], n=3)
 
 
-def test_cluster_stats_examples():
+def test_all_stats_examples():
     inst, clu = counts_instance([(7, 2)], p=3, q=1)
-    st = cluster_stats(inst, clu, 0)
-    assert (st.s_b, st.d_b, st.s_r, st.d_r) == (1, 2, 0, 0)
+    st = all_stats(inst, clu)
+    assert (st.blue[0], st.red[0], st.s_b[0], st.s_r[0]) == (7, 2, 1, 0)
 
     inst, clu = counts_instance([(7, 4)], p=5, q=3)
-    st = cluster_stats(inst, clu, 0)
-    assert (st.s_b, st.d_b, st.s_r, st.d_r) == (2, 3, 1, 2)
+    st = all_stats(inst, clu)
+    assert (st.s_b[0], st.s_r[0]) == (2, 1)
 
     inst, clu = counts_instance([(4, 2)], p=2, q=1)
-    st = cluster_stats(inst, clu, 0)
-    assert st.s_b == 0 and st.d_b == 0 and st.is_fair
-
-
-def test_cluster_stats_bad_id():
-    inst, clu = counts_instance([(2, 2)], p=1, q=1)
-    with pytest.raises(BadClusterId):
-        cluster_stats(inst, clu, 1)
+    st = all_stats(inst, clu)
+    assert st.s_b[0] == 0 and st.blue[0] * inst.q == st.red[0] * inst.p
 
 
 def test_mod_identity():
     for red, blue, p, q in [(7, 11, 4, 3), (0, 9, 3, 1), (5, 5, 1, 1)]:
-        st = ClusterStats.from_counts(red, blue, p, q)
-        assert blue == p * (blue // p) + st.s_b
-        assert red == q * (red // q) + st.s_r
-        assert 0 <= st.s_b < p and 0 <= st.s_r < q
-        assert (st.d_r == 0) == (st.s_r == 0)
-        assert (st.d_b == 0) == (st.s_b == 0)
+        inst, clu = counts_instance([(blue, red)], p, q)
+        st = all_stats(inst, clu)
+        s_b, s_r = int(st.s_b[0]), int(st.s_r[0])
+        assert (st.blue[0], st.red[0]) == (blue, red)
+        assert blue == p * (blue // p) + s_b
+        assert red == q * (red // q) + s_r
+        assert 0 <= s_b < p and 0 <= s_r < q
 
 
 def test_validate_feasible_examples():
@@ -110,9 +113,10 @@ def test_fair_implies_balanced_on_random_clusterings():
         inst, clu = gen_random(n, p, q, 1 + seed % n, seed=seed)
         if is_fair(inst, clu):
             assert is_balanced(inst, clu)
-        for st in all_stats(inst, clu):
-            if st.is_fair:
-                assert st.is_balanced
+        st = all_stats(inst, clu)
+        fair = st.blue * inst.q == st.red * inst.p
+        balanced = (st.s_b == 0) & (st.s_r == 0)
+        assert np.all(balanced[fair])
 
 
 def test_is_fair_is_balanced_examples():
@@ -135,7 +139,7 @@ def test_color_swap_convention():
     assert (inst.p, inst.q) == (2, 1)
     assert (inst.given_p, inst.given_q) == (1, 2)
     assert inst.blue_total == 4  # role-blue counts the majority color
-    assert inst.role_is_blue(0) and not inst.role_is_blue(4)
+    assert inst.role_blue_mask[0] and not inst.role_blue_mask[4]
     # original colors are preserved for display
     assert inst.colors[0] is Color.RED
 
@@ -144,11 +148,6 @@ def test_gcd_reduction_is_silent():
     inst = ColoredInstance.from_colors("BBBBRR", 4, 2)
     assert (inst.p, inst.q) == (2, 1)
     assert (inst.given_p, inst.given_q) == (4, 2)
-
-
-def test_members_ascending():
-    clu = normalize([1, 0, 1, 0, 2])
-    assert clu.members == ((0, 2), (1, 3), (4,))
 
 
 def test_clustering_is_value_like():
@@ -172,7 +171,6 @@ def test_clustering_views_follow_the_array():
     assert arr.dtype == np.int64 and arr.tolist() == [0, 1, 0, 2, 1]
     assert c.labels == (0, 1, 0, 2, 1)
     assert all(type(x) is int for x in c.labels)
-    assert c.members == ((0, 2), (1, 4), (3,))
     assert (c.n, c.k) == (5, 3)
     assert c.labels_array() is arr  # no copy per call
 
@@ -245,36 +243,58 @@ def test_normalize_rejects_labels_outside_int64():
             normalize(raw)
 
 
-def test_is_fair_and_is_balanced_match_per_cluster_stats():
+def test_is_fair_and_is_balanced_match_stats_columns():
     for seed in range(40):
         p, q = [(1, 1), (2, 1), (3, 2), (5, 3)][seed % 4]
         inst, clu = gen_random((p + q) * 4, p, q, 1 + seed % 7, seed=seed)
-        stats = all_stats(inst, clu)
-        assert is_fair(inst, clu) == all(st.is_fair for st in stats)
-        assert is_balanced(inst, clu) == all(st.is_balanced for st in stats)
+        st = all_stats(inst, clu)
+        assert is_fair(inst, clu) == bool(np.all(st.blue * inst.q == st.red * inst.p))
+        assert is_balanced(inst, clu) == bool(np.all((st.s_b == 0) & (st.s_r == 0)))
     # a ratio part beyond n must not overflow the int64 comparison
     inst = ColoredInstance.from_colors("BBR", 2**70, 1)
     assert not is_fair(inst, normalize([0, 0, 0]))
     assert not is_balanced(inst, normalize([0, 1, 1]))
 
 
-def test_all_stats_columns_and_items_match_cluster_stats():
+def test_all_stats_columns_match_member_counts():
     for seed in range(30):
         p, q = [(1, 1), (2, 1), (3, 2), (5, 3)][seed % 4]
         inst, clu = gen_random((p + q) * 5, p, q, 1 + seed % 9, seed=seed)
         stats = all_stats(inst, clu)
-        expected = [cluster_stats(inst, clu, c) for c in range(clu.k)]
-        assert len(stats) == clu.k and list(stats) == expected
-        columns = zip(stats.red, stats.blue, stats.s_r, stats.s_b, stats.d_r, stats.d_b, stats.size)
-        assert [tuple(map(int, row)) for row in columns] == [
-            (st.red_count, st.blue_count, st.s_r, st.s_b, st.d_r, st.d_b, st.size) for st in expected
-        ]
-        assert stats[-1] == expected[-1] and stats[1:3] == expected[1:3]
-        with pytest.raises(ValueError):
-            stats.s_b[0] = 1
-    # a ratio part beyond int64 keeps the deficits exact
+        groups = members(clu)
+        blue = [sum(1 for u in pts if inst.role_blue_mask[u]) for pts in groups]
+        red = [len(pts) - b for pts, b in zip(groups, blue)]
+        assert stats.blue.tolist() == blue and stats.red.tolist() == red
+        assert stats.s_b.tolist() == [b % inst.p for b in blue]
+        assert stats.s_r.tolist() == [r % inst.q for r in red]
+        for col in (stats.red, stats.blue, stats.s_r, stats.s_b):
+            with pytest.raises(ValueError):
+                col[0] = 1
+    # a ratio part beyond int64 keeps the surpluses exact
     inst = ColoredInstance.from_colors("BBR", 2**70, 1)
-    clu = normalize([0, 0, 1])
-    stats = all_stats(inst, clu)
-    assert stats.d_b[0] == 2**70 - 2
-    assert list(stats) == [cluster_stats(inst, clu, c) for c in range(2)]
+    stats = all_stats(inst, normalize([0, 0, 1]))
+    assert stats.s_b.tolist() == [2, 0] and stats.s_r.tolist() == [0, 0]
+
+
+_SIZE_CHECKED = {
+    "closest_fair": closest_fair,
+    "fair_consensus": lambda inst, clu: fair_consensus(inst, [clu], 1),
+    "balance_p": balance_p,
+    "balance_pq": balance_pq,
+    "make_clusters_fair": make_clusters_fair,
+    "find_closest_fair_11": find_closest_fair_11,
+    "is_fair": is_fair,
+    "is_balanced": is_balanced,
+    "all_stats": all_stats,
+    "oracle_closest_fair": oracle_closest_fair,
+    "oracle_closest_balanced": oracle_closest_balanced,
+    "oracle_consensus": lambda inst, clu: oracle_consensus(inst, [clu], 1),
+}
+
+
+@pytest.mark.parametrize("labels", [[0], [0, 0, 1]], ids=["short", "long"])
+@pytest.mark.parametrize("entry", _SIZE_CHECKED, ids=list(_SIZE_CHECKED))
+def test_clustering_over_other_point_count_raises_size_mismatch(entry, labels):
+    inst = ColoredInstance.from_colors("BR", 1, 1)
+    with pytest.raises(SizeMismatch):
+        _SIZE_CHECKED[entry](inst, normalize(labels))

@@ -15,7 +15,7 @@ from fairmerge import (
     oracle_closest_fair,
     oracle_consensus,
 )
-from fairmerge.errors import EmptyInput, TooLarge
+from fairmerge.errors import EmptyInput, InvalidArgument, TooLarge
 from fairmerge.oracle import _labels_matrix, oracle_cap
 
 from support import counts_instance, mono_instance
@@ -47,6 +47,8 @@ def test_enum_yields_normalized_clusterings():
 def test_too_large_rejected():
     with pytest.raises(TooLarge):
         list(enum_partitions(oracle_cap() + 1))
+    with pytest.raises(InvalidArgument):
+        list(enum_partitions(-1))
     inst, clu = gen_random(14, 1, 1, 2, seed=0)
     with pytest.raises(TooLarge):
         oracle_closest_fair(inst, clu)
@@ -119,7 +121,7 @@ def test_oracle_invariant_under_relabeling_and_color_permutation():
     relabeled = normalize([clu.k - 1 - lab for lab in clu.labels])
     assert oracle_closest_fair(inst, relabeled).optimum == base
     # swap two same-colored points -> isomorphic instance, same optimum
-    pts = [i for i in range(inst.n) if inst.role_is_blue(i)][:2]
+    pts = [i for i in range(inst.n) if inst.role_blue_mask[i]][:2]
     labels = list(clu.labels)
     labels[pts[0]], labels[pts[1]] = labels[pts[1]], labels[pts[0]]
     assert oracle_closest_fair(inst, normalize(labels)).optimum == base
