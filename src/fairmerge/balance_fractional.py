@@ -10,7 +10,9 @@ color's leftover deficits are served by the minimum-cost block loop.
 
 from __future__ import annotations
 
-from .model import Clustering, ColoredInstance, all_stats, validate_balance_feasible
+import numpy as np
+
+from .model import Clustering, ColoredInstance, _divmod, all_stats, validate_balance_feasible
 from .mergeloop import make_donor_blocks, pack_extras, run_merge_subsets, transfer
 from .transcript import ClusterState, Transcript
 
@@ -22,7 +24,6 @@ def _balance(state: ClusterState, colors: tuple[tuple[str, int], ...], meta_pref
     """
     stats = all_stats(state.instance, state.baseline)
     surplus = {"red": stats.s_r, "blue": stats.s_b}
-    count = {"red": state.red_count, "blue": state.blue_count}
     passes = [(color, modulus, *transfer(state, color, modulus, surplus[color])) for color, modulus in colors]
     merging = any(merge_rem for *_, merge_rem in passes)
     cuts = [bool(cut_rem) or not merging for *_, cut_rem, _ in passes]
@@ -31,15 +32,14 @@ def _balance(state: ClusterState, colors: tuple[tuple[str, int], ...], meta_pref
 
     # Every donor table is fixed before any residue move.  A table discounts
     # the surplus of each color that is about to be packed away.
-    tables = []
-    for color, modulus, balanced, _, merge_rem in merged:
-        receivers = set(merge_rem)
-        tables.append({
-            c: make_donor_blocks(
-                state, c, color, modulus, sum(count[o](c) % m for o, m, *_ in packed), c in receivers
-            )
-            for c in balanced + merge_rem
-        })
+    counts, n = state.counts(), state.instance.n
+    discount = np.zeros(counts.shape[0], dtype=np.int64)
+    for color, modulus, *_ in packed:
+        discount += _divmod(counts[:, int(color == "blue")], modulus, n)[1]
+    tables = [
+        make_donor_blocks(state, color, modulus, balanced, merge_rem, discount[balanced + merge_rem])
+        for color, modulus, balanced, _, merge_rem in merged
+    ]
     for color, modulus, _, cut_rem, _ in packed:
         pack_extras(state, cut_rem, color, modulus)
     for (color, modulus, _, _, merge_rem), donors in zip(merged, tables):

@@ -223,25 +223,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of a library error: its first matching row, in order.
+_EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    (SizeMismatch, EXIT_SIZE),
+    ((InfeasibleFairness, NotBalanced, WrongRatio), EXIT_INFEASIBLE),
+    (TooLarge, EXIT_TOO_LARGE),
+    (FairmergeError, EXIT_PARSE),
+)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SizeMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except (InfeasibleFairness, NotBalanced, WrongRatio) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
     except FairmergeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 def run() -> None:

@@ -10,34 +10,30 @@ fair clustering.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import InfeasibleFairness, NotBalanced
 from .mergeloop import pair_off
-from .model import Clustering, ColoredInstance, validate_feasible
+from .model import Clustering, ColoredInstance, _divmod, validate_feasible
 from .transcript import ClusterState, Transcript
 
 
 def _make_clusters_fair(state: ClusterState) -> None:
-    p, q = state.instance.p, state.instance.q
-    donors: list[int] = []
-    spare: list[int] = []  # reds each donor has beyond its fair share
-    receivers: list[int] = []
-    missing: list[int] = []  # reds each receiver lacks
-    for c in range(len(state.clusters)):
-        b, r = state.blue_count(c), state.red_count(c)
-        if b == 0 and r == 0:
-            continue
-        if (q * b) % p:
-            raise NotBalanced(f"cluster {c}: blue count {b} not a multiple of {p}")
-        sigma = r - (q * b) // p
-        if sigma > 0:
-            donors.append(c)
-            spare.append(sigma)
-        elif sigma < 0:
-            receivers.append(c)
-            missing.append(-sigma)
-    if sum(spare) != sum(missing):
+    p, q, n = state.instance.p, state.instance.q, state.instance.n
+    if n == 0:  # feasible totals over n > 0 points give q <= n, so q * units fits int64
+        return
+    red, blue = state.counts().T
+    units, rest = _divmod(blue, p, n)
+    if rest.any():
+        c = int(np.flatnonzero(rest)[0])
+        raise NotBalanced(f"cluster {c}: blue count {blue[c]} not a multiple of {p}")
+    sigma = red - q * units  # reds beyond the fair share; empty clusters have 0
+    donors, receivers = np.flatnonzero(sigma > 0), np.flatnonzero(sigma < 0)
+    spare, missing = sigma[donors], -sigma[receivers]
+    if spare.sum() != missing.sum():
         raise InfeasibleFairness("red spares and red shortfalls do not match")
-    for i, j, k in pair_off(spare, missing):
+    donors, receivers = donors.tolist(), receivers.tolist()
+    for i, j, k in pair_off(spare.tolist(), missing.tolist()):
         state.move(donors[i], receivers[j], "red", k)
 
 

@@ -75,6 +75,17 @@ def _shuffled(xs: list, seed: int, start: int) -> list:
     return xs
 
 
+def _integers(what: str, values) -> tuple[int, ...]:
+    """``values`` as Python ints; :class:`InvalidArgument` unless all are integers, not bools."""
+    try:
+        xs = tuple(values)
+    except TypeError:
+        xs = (None,)
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in xs):
+        raise InvalidArgument(f"{what} must be integers, got {values!r}")
+    return tuple(map(int, xs))
+
+
 def gen_random(
     n: int, p: int, q: int, k_clusters: int, seed: int
 ) -> tuple[ColoredInstance, Clustering]:
@@ -85,9 +96,10 @@ def gen_random(
     draws are those of one ``SplitMix64(seed)``: a shuffle of the colors,
     a shuffle of the point order, then one label per remaining point.
     Raises :class:`InvalidArgument` for a ratio part that is not a positive
-    integer.
+    integer, and for an n, k or seed that is not an integer.
     """
     p, q = _ratio_part(p), _ratio_part(q)
+    n, k_clusters, seed = _integers("n, k_clusters and seed", (n, k_clusters, seed))
     g = math.gcd(p, q)
     p, q = p // g, q // g
     if n < p + q:
@@ -131,10 +143,8 @@ class ReductionInstance:
 
 def gen_3partition_reduction(elements, p: int, q: int = 1) -> ReductionInstance:
     """Encode a 3-partition multiset as a closest-fair decision instance."""
-    try:
-        xs = tuple(int(x) for x in elements)
-    except (TypeError, ValueError):
-        raise InvalidArgument(f"3-partition elements must be integers, got {elements!r}") from None
+    xs = _integers("3-partition elements", elements)
+    p, q = _integers("ratio parts", (p, q))
     if p < 2:
         raise Infeasible("reduction needs p >= 2")
     if q < 1 or math.gcd(p, q) != 1 or (q > 1 and p <= q):

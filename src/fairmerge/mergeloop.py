@@ -8,21 +8,26 @@ fresh single-color clusters of exactly the modulus size.
 ``run_merge_subsets`` services leftover deficits: each donor cluster's
 points of one color are divided into a size-``s`` block (its own surplus,
 block 0) and full blocks of the modulus size, each block carrying a fixed
-cutting cost; the cheapest available block is cut and dealt into the
+cutting cost (``make_donor_blocks`` tabulates them for all donors of a
+color at once); the cheapest available block is cut and dealt into the
 deficit clusters in priority order until every deficit is filled.
+
+Every decision here reads counts, the baseline surplus column or the
+state's ``counts()`` table; points are touched only through
+``ClusterState.move``.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InternalDeficitMismatch, SurplusNotMultiple
+from .model import _divmod
 from .transcript import ClusterState
 
 
@@ -56,10 +61,6 @@ def pair_off(supply: Sequence[int], demand: Sequence[int]) -> list[tuple[int, in
     return steps
 
 
-def _counter(state: ClusterState, color: str):
-    return state.blue_count if color == "blue" else state.red_count
-
-
 def transfer(
     state: ClusterState, color: str, modulus: int, surplus: np.ndarray
 ) -> tuple[list[int], list[int], list[int]]:
@@ -84,7 +85,7 @@ def transfer(
     demand: list[int] = []
     if merge.shape[0]:  # then modulus < 2n, so the int64 arithmetic is exact
         s = surplus[merge]
-        size = np.array([state.size(c) for c in merge.tolist()], dtype=np.int64)
+        size = state.counts()[merge].sum(axis=1)
         merge = merge[np.argsort((modulus - s) * size - s * (size - s), kind="stable")]
         demand = (modulus - surplus[merge]).tolist()
     cut, merge = cut.tolist(), merge.tolist()
@@ -97,42 +98,30 @@ def transfer(
     return balanced + cut[:di], cut[di:], merge[mi:]
 
 
-@dataclass(frozen=True)
-class DonorBlocks:
-    """Static block table of one donor cluster, fixed at loop entry."""
-
-    size_eff: int  # cluster size, minus the opposite-color surplus when told to
-    s0: int  # own-color surplus at entry (size of block 0)
-    nsub: int  # number of full modulus-size blocks
-    mcost0: int  # deficit * size, nonzero only for still-deficient donors
-    is_receiver: bool
-
-    def block_cost(self, z: int, modulus: int) -> int:
-        if z == 0:
-            base = self.s0 * (self.size_eff - self.s0)
-            return base - self.mcost0 if self.is_receiver else base
-        return modulus * (self.size_eff - (z * modulus + self.s0))
-
-
 def make_donor_blocks(
-    state: ClusterState,
-    key: int,
-    color: str,
-    modulus: int,
-    opposite_surplus: int,
-    is_receiver: bool,
-) -> DonorBlocks:
-    cnt = _counter(state, color)(key)
-    s0 = cnt % modulus
-    size = state.size(key)
-    mcost0 = (modulus - s0) * size if is_receiver else 0
-    return DonorBlocks(
-        size_eff=size - opposite_surplus,
-        s0=s0,
-        nsub=(cnt - s0) // modulus,
-        mcost0=mcost0,
-        is_receiver=is_receiver,
-    )
+    state: ClusterState, color: str, modulus: int, balanced: list[int], receivers: list[int], discount: np.ndarray
+) -> np.ndarray:
+    """Block table of one merge color's donors: ``balanced``, then ``receivers``.
+
+    Returns an int64 table with rows (key, s0, nsub, size_eff, cost0) and
+    one column per donor, fixed at loop entry.  A donor's ``color`` points
+    split into block 0, its surplus of ``s0`` points, and ``nsub`` full
+    blocks of ``modulus``.  ``size_eff`` is its live size less its
+    ``discount`` (points about to be packed away).  Block 0 costs
+    s0 (size_eff - s0), minus a receiver's merge cost (modulus - s0) size,
+    which cutting that block saves; full block z costs
+    modulus (size_eff - z modulus - s0).
+    """
+    key = np.array(balanced + receivers, dtype=np.int64)
+    counts = state.counts()[key]
+    size = counts.sum(axis=1)
+    nsub, s0 = _divmod(counts[:, int(color == "blue")], modulus, state.instance.n)
+    size_eff = size - discount
+    cost0 = s0 * (size_eff - s0)
+    if receivers:  # a merge-side cluster has 2 s0 > modulus, so modulus < 2n
+        r = len(balanced)
+        cost0[r:] -= (modulus - s0[r:]) * size[r:]
+    return np.stack((key, s0, nsub, size_eff, cost0))
 
 
 def pack_extras(state: ClusterState, donors: list[int], color: str, modulus: int) -> int:
@@ -141,18 +130,19 @@ def pack_extras(state: ClusterState, donors: list[int], color: str, modulus: int
     Donors are consumed in the given order, first-fit.  Returns the number
     of extra clusters created.
     """
-    count = _counter(state, color)
-    surplus = [(c, s) for c in donors if (s := count(c) % modulus)]
-    total = sum(s for _, s in surplus)
+    surplus = _divmod(state.counts()[donors, int(color == "blue")], modulus, state.instance.n)[1]
+    given = np.flatnonzero(surplus)
+    donors, supply = np.asarray(donors, dtype=np.int64)[given].tolist(), surplus[given].tolist()
+    total = sum(supply)
     if total == 0:
         return 0
     if total % modulus:
         raise SurplusNotMultiple(f"total {color} surplus {total} not a multiple of {modulus}")
     extras: list[int] = []
-    for i, j, k in pair_off([s for _, s in surplus], [modulus] * (total // modulus)):
+    for i, j, k in pair_off(supply, [modulus] * (total // modulus)):
         if j == len(extras):
             extras.append(state.new_cluster())
-        state.move(surplus[i][0], extras[j], color, k)
+        state.move(donors[i], extras[j], color, k)
     return total // modulus
 
 
@@ -161,22 +151,23 @@ def run_merge_subsets(
     *,
     color: str,
     modulus: int,
-    donors: dict[int, DonorBlocks],
+    donors: np.ndarray,
     receivers: list[int],
     meta_prefix: str,
 ) -> None:
     """Fill every receiver's deficit by cutting minimum-cost donor blocks.
 
-    ``receivers`` come in their fixed priority order (the order deficits are
-    topped up in).  Block costs are static; selection is a min-heap over
-    (cost, donor key, block index).  When a still-deficient donor's own
-    surplus block is cut, that donor stops being a receiver: its deficit
-    disappears from the outstanding total.  A receiver that has received
-    any points leaves the donor pool, since its entry-time block table no
-    longer describes it.
+    ``donors`` is the color's ``make_donor_blocks`` table.  ``receivers``
+    come in their fixed priority order (the order deficits are topped up
+    in), and a cursor walks them.  Block costs are static; selection is a
+    min-heap over (cost, donor key, block index).  When a still-deficient
+    donor's own surplus block is cut, that donor stops being a receiver:
+    its deficit drops to 0 and the cursor skips it.  A receiver that has
+    received any points leaves the donor pool, since its entry-time block
+    table no longer describes it.
     """
-    count = _counter(state, color)
-    deficit = {r: (modulus - count(r) % modulus) % modulus for r in receivers}
+    count = state.counts()[receivers, int(color == "blue")].tolist()
+    deficit = {r: -c % modulus for r, c in zip(receivers, count)}
     w_initial = sum(deficit.values())
     meta = state.transcript.meta
     meta[f"{meta_prefix}_w"] = w_initial
@@ -188,52 +179,51 @@ def run_merge_subsets(
             f"outstanding {color} deficit {w_initial} not a multiple of {modulus}"
         )
 
-    heap: list[tuple[int, int, int]] = []
-    for c, blocks in donors.items():
-        if blocks.s0 > 0:
-            heapq.heappush(heap, (blocks.block_cost(0, modulus), c, 0))
-        elif blocks.nsub >= 1:
-            heapq.heappush(heap, (blocks.block_cost(1, modulus), c, 1))
+    # Each donor's first block: its surplus, else full block 1.  A deficit
+    # to fill means modulus < 2n, so these costs fit in int64.
+    key, s0, nsub, size_eff, cost0 = donors
+    z = (s0 == 0).astype(np.int64)
+    row = np.flatnonzero(z <= nsub)
+    cost = np.where(z == 0, cost0, modulus * (size_eff - z * modulus - s0))[row]
+    # (cost, key, z) is unique, so the table row never takes part in the order
+    heap = list(zip(cost.tolist(), key[row].tolist(), z[row].tolist(), row.tolist()))
+    heapq.heapify(heap)
 
-    active_receiver = {r for r in receivers if deficit[r] > 0}
-    active_donor = set(donors)
+    stale: set[int] = set()  # receivers that got points
+    j = 0  # every receiver before the cursor has deficit 0
     w = w_initial
     cuts = 0
     while w > 0:
-        while heap and heap[0][1] not in active_donor:
+        while heap and heap[0][1] in stale:
             heapq.heappop(heap)
         if not heap:
             raise InternalDeficitMismatch(f"no {color} blocks left, deficit {w}")
-        _, c, z = heapq.heappop(heap)
-        if z == 0 and c in active_receiver:
+        _, c, z, i = heapq.heappop(heap)
+        _, s, nb, se, _ = donors[:, i].tolist()
+        if z == 0 and deficit.get(c):
             # its own deficit is abandoned: cutting the surplus balances it
             w -= deficit[c]
             deficit[c] = 0
-            active_receiver.discard(c)
-        take = donors[c].s0 if z == 0 else modulus
-        remaining = take
-        for r in receivers:
-            if remaining == 0:
-                break
-            if r not in active_receiver:
-                continue
+        remaining = s if z == 0 else modulus
+        while remaining and j < len(receivers):
+            r = receivers[j]
             g = min(deficit[r], remaining)
-            state.move(c, r, color, g)
-            deficit[r] -= g
-            remaining -= g
-            w -= g
-            # any received points invalidate r's entry-time block table
-            active_donor.discard(r)
+            if g:
+                state.move(c, r, color, g)
+                deficit[r] -= g
+                remaining -= g
+                w -= g
+                stale.add(r)
             if deficit[r] == 0:
-                active_receiver.discard(r)
+                j += 1
         if remaining:
             raise InternalDeficitMismatch(
                 f"{remaining} cut {color} points found no deficit to fill"
             )
         cuts += 1
-        next_z = 1 if z == 0 else z + 1
-        if next_z <= donors[c].nsub and c in active_donor:
-            heapq.heappush(heap, (donors[c].block_cost(next_z, modulus), c, next_z))
+        z += 1
+        if z <= nb:  # a stale donor's entry is dropped when it surfaces
+            heapq.heappush(heap, (modulus * (se - z * modulus - s), c, z, i))
 
     meta[f"{meta_prefix}_subsets_cut"] = cuts
     if cuts * modulus != w_initial:

@@ -81,6 +81,16 @@ def enum_partitions(n: int) -> Iterator[Clustering]:
             a[j] = 0
 
 
+def _grow(m: np.ndarray, maxlab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``m`` followed by every label it allows next (0 .. its max label
+    ``maxlab`` + 1), in lexicographic order; returns the rows and their max labels."""
+    reps = maxlab.astype(np.int64) + 2
+    ends = np.cumsum(reps)
+    newcol = (np.arange(int(ends[-1]), dtype=np.int64) - np.repeat(ends - reps, reps)).astype(np.int8)
+    grown = np.concatenate([np.repeat(m, reps, axis=0), newcol[:, None]], axis=1)
+    return grown, np.maximum(np.repeat(maxlab, reps), newcol)
+
+
 def _labels_matrix(n: int) -> np.ndarray:
     """All restricted-growth strings of length n as one int8 matrix."""
     if n in _matrix_cache:
@@ -91,12 +101,7 @@ def _labels_matrix(n: int) -> np.ndarray:
         m = np.zeros((1, 1), dtype=np.int8)
         maxlab = np.zeros(1, dtype=np.int8)
         for _ in range(1, n):
-            reps = maxlab.astype(np.int64) + 2
-            total = int(reps.sum())
-            ends = np.cumsum(reps)
-            newcol = (np.arange(total, dtype=np.int64) - np.repeat(ends - reps, reps)).astype(np.int8)
-            m = np.concatenate([np.repeat(m, reps, axis=0), newcol[:, None]], axis=1)
-            maxlab = np.maximum(np.repeat(maxlab, reps), newcol)
+            m, maxlab = _grow(m, maxlab)
     if n <= 12:
         _matrix_cache[n] = m
     return m
@@ -116,12 +121,7 @@ def _label_chunks(n: int, chunk_rows: int = 1 << 20) -> Iterator[np.ndarray]:
     maxlab = base.max(axis=1)
     step = max(1, chunk_rows // 16)
     for a in range(0, base.shape[0], step):
-        mm = base[a : a + step]
-        reps = maxlab[a : a + step].astype(np.int64) + 2
-        total = int(reps.sum())
-        ends = np.cumsum(reps)
-        newcol = (np.arange(total, dtype=np.int64) - np.repeat(ends - reps, reps)).astype(np.int8)
-        yield np.concatenate([np.repeat(mm, reps, axis=0), newcol[:, None]], axis=1)
+        yield _grow(base[a : a + step], maxlab[a : a + step])[0]
 
 
 def _pair_bits(chunk: np.ndarray) -> np.ndarray:

@@ -271,20 +271,6 @@ class Transcript:
         return normalize(labels, baseline.n), total
 
 
-class _WorkCluster:
-    __slots__ = ("reds", "blues")
-
-    def __init__(self) -> None:
-        # point ids ascending, as machine ints: a point becomes a Python int
-        # only when a move reads it
-        self.reds = array("q")
-        self.blues = array("q")
-
-    @property
-    def size(self) -> int:
-        return len(self.reds) + len(self.blues)
-
-
 def _radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     """Stable argsort of non-negative int64 ``keys`` below ``bound``.
 
@@ -305,9 +291,11 @@ class ClusterState:
     """Mutable clustering the algorithms edit, keyed by stable cluster ids.
 
     Keys 0..k-1 are the baseline clusters; clusters created later get fresh
-    keys in creation order, which keeps transcripts replayable.  Point lists
-    are held sorted ascending so "the s highest-indexed blue points" is a
-    well-defined deterministic cut.
+    keys in creation order, which keeps transcripts replayable.  Points live
+    in one pool per (cluster, role): ``pools[2 * key + role]``, role 0 red
+    and 1 blue.  Each pool holds point ids ascending, so "the s
+    highest-indexed blue points" is a well-defined deterministic cut.  The
+    drivers decide from ``counts()`` and touch pools only through ``move``.
     """
 
     def __init__(self, instance: ColoredInstance, clustering: Clustering) -> None:
@@ -315,42 +303,34 @@ class ClusterState:
         self.instance = instance
         self.baseline = clustering
         self._base_labels = clustering.labels_array()
-        k = clustering.k
-        self.clusters: list[_WorkCluster] = [_WorkCluster() for _ in range(k)]
-        sizes = np.zeros(k, dtype=np.int64)
-        if clustering.n:
-            # one (cluster, role) key per point; a stable sort by it lists
-            # each cluster's reds, then its blues, each ascending
-            key = self._base_labels * 2 + instance.role_blue_mask
-            flat = memoryview(_radix_argsort(key, 2 * k).astype(np.int64, copy=False)).cast("B")
-            counts = np.bincount(key, minlength=2 * k)
-            sizes = counts[0::2] + counts[1::2]
-            ends = (8 * np.cumsum(counts)).tolist()  # byte offsets
-            start = 0
-            for c, wc in enumerate(self.clusters):
-                mid, end = ends[2 * c], ends[2 * c + 1]
-                wc.reds.frombytes(flat[start:mid])
-                wc.blues.frombytes(flat[mid:end])
-                start = end
-        self.transcript = Transcript(self._base_labels, sizes)
+        # one (cluster, role) key per point; a stable sort by it lists each
+        # pool's points ascending, pool after pool
+        key = self._base_labels * 2 + instance.role_blue_mask
+        flat = memoryview(_radix_argsort(key, 2 * clustering.k).astype(np.int64, copy=False)).cast("B")
+        counts = np.bincount(key, minlength=2 * clustering.k)
+        ends = (8 * np.cumsum(counts)).tolist()  # byte offsets
+        # point ids as machine ints: a point becomes a Python int only when a
+        # move reads it
+        self.pools: list[array] = []
+        for start, end in zip([0] + ends, ends):
+            pool = array("q")
+            pool.frombytes(flat[start:end])
+            self.pools.append(pool)
+        self.transcript = Transcript(self._base_labels, counts[0::2] + counts[1::2])
         self._log = self.transcript._log
 
     # -- inspection ---------------------------------------------------
 
-    def blue_count(self, key: int) -> int:
-        return len(self.clusters[key].blues)
-
-    def red_count(self, key: int) -> int:
-        return len(self.clusters[key].reds)
-
-    def size(self, key: int) -> int:
-        return self.clusters[key].size
+    def counts(self) -> np.ndarray:
+        """Live (red, blue) point counts as a fresh int64 table, one row per key."""
+        pools = self.pools
+        return np.fromiter(map(len, pools), dtype=np.int64, count=len(pools)).reshape(-1, 2)
 
     # -- mutation -----------------------------------------------------
 
     def new_cluster(self) -> int:
-        self.clusters.append(_WorkCluster())
-        return len(self.clusters) - 1
+        self.pools += (array("q"), array("q"))
+        return len(self.pools) // 2 - 1
 
     def move(self, src: int, dst: int, color: str, count: int, from_low: bool = False) -> None:
         """Move ``count`` points of ``color`` from src to dst and log the move.
@@ -363,13 +343,14 @@ class ClusterState:
         """
         if count == 0:
             return
-        clusters = self.clusters
-        if not (0 <= src < len(clusters) and 0 <= dst < len(clusters)):
-            raise BadClusterId(f"move from {src} to {dst}: keys are 0..{len(clusters) - 1}")
+        pools = self.pools
+        k = len(pools) // 2
+        if not (0 <= src < k and 0 <= dst < k):
+            raise BadClusterId(f"move from {src} to {dst}: keys are 0..{k - 1}")
         if src == dst:
             raise InvalidArgument(f"move within cluster {src}")
-        sc, dc = clusters[src], clusters[dst]
-        lst = sc.blues if color == "blue" else sc.reds
+        role = color == "blue"
+        lst = pools[2 * src + role]
         if not 0 < count <= len(lst):
             raise InvalidArgument(f"cannot move {count} {color} points: cluster {src} has {len(lst)}")
         if from_low:
@@ -378,7 +359,7 @@ class ClusterState:
         else:
             pts = lst[-count:]
             del lst[-count:]
-        tgt = dc.blues if color == "blue" else dc.reds
+        tgt = pools[2 * dst + role]
         if not tgt or pts[0] > tgt[-1]:
             tgt.extend(pts)
         else:

@@ -100,7 +100,7 @@ def mono_instance(red_sizes, blue_sizes, p: int = 1, q: int = 1):
 
 
 def counts_instance(cluster_counts, p: int, q: int):
-    """Instance from (blue_count, red_count) pairs, one cluster per pair."""
+    """Instance from (blue, red) point-count pairs, one cluster per pair."""
     colors: list[str] = []
     labels: list[int] = []
     for lab, (b, r) in enumerate(cluster_counts):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fairmerge import (
@@ -14,24 +15,30 @@ from fairmerge.transcript import ClusterState
 from support import assert_subset_identities, audit_transcript, counts_instance, members
 
 
+def _blocks(cluster_counts, p, balanced, receivers):
+    """(s0, nsub, size_eff, cost0) of each donor in a blue donor table, undiscounted."""
+    inst, clu = counts_instance(cluster_counts, p=p, q=1)
+    donors = balanced + receivers
+    table = make_donor_blocks(ClusterState(inst, clu), "blue", p, balanced, receivers, np.zeros(len(donors), np.int64))
+    assert table[0].tolist() == donors
+    return [tuple(col) for col in table[1:].T.tolist()]
+
+
 def test_subset_cost_examples():
-    inst, clu = counts_instance([(7, 3)], p=3, q=1)  # size 10, blue 7, s=1
-    blocks = make_donor_blocks(ClusterState(inst, clu), 0, "blue", 3, 0, is_receiver=False)
-    assert blocks.block_cost(1, 3) == 18
-    assert blocks.block_cost(0, 3) == 9
-    assert (blocks.s0, blocks.nsub) == (1, 2)  # a surplus block of 1, two full blocks of 3
+    # size 10, blue 7, p=3: a surplus block of 1, two full blocks of 3
+    [(s0, nsub, size_eff, cost0)] = _blocks([(7, 3)], 3, [0], [])
+    assert (s0, nsub, size_eff, cost0) == (1, 2, 10, 9)
+    assert 3 * (size_eff - 1 * 3 - s0) == 18  # full block 1
     # a still-deficient donor: cutting its surplus also cancels its merge cost 20
-    blocks = make_donor_blocks(ClusterState(inst, clu), 0, "blue", 3, 0, is_receiver=True)
-    assert blocks.block_cost(0, 3) == 9 - 20
+    assert _blocks([(7, 3)], 3, [], [0]) == [(1, 2, 10, 9 - 20)]
     # size 7, all blue, p=4: cutting the surplus 3 costs 3 * 4, topping up the deficit 1 costs 7
-    inst, clu = counts_instance([(7, 0)], p=4, q=1)
-    state = ClusterState(inst, clu)
-    assert make_donor_blocks(state, 0, "blue", 4, 0, is_receiver=False).block_cost(0, 4) == 12
-    assert make_donor_blocks(state, 0, "blue", 4, 0, is_receiver=True).block_cost(0, 4) == 12 - 7
+    assert _blocks([(7, 0)], 4, [0], []) == [(3, 1, 7, 12)]
+    assert _blocks([(7, 0)], 4, [], [0]) == [(3, 1, 7, 12 - 7)]
     # no surplus: block 0 is empty and costs nothing
-    inst, clu = counts_instance([(8, 2)], p=4, q=1)
-    blocks = make_donor_blocks(ClusterState(inst, clu), 0, "blue", 4, 0, is_receiver=False)
-    assert (blocks.block_cost(0, 4), blocks.s0, blocks.nsub) == (0, 0, 2)
+    [(s0, nsub, _, cost0)] = _blocks([(8, 2)], 4, [0], [])
+    assert (cost0, s0, nsub) == (0, 0, 2)
+    # one table per color: balanced donors first, then receivers, in the given order
+    assert _blocks([(8, 2), (7, 3), (7, 0)], 4, [2, 0], [1]) == [(3, 1, 7, 12), (0, 2, 10, 0), (3, 1, 10, 21 - 10)]
 
 
 def test_balance_p_identity_when_already_balanced():

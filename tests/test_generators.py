@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fairmerge import (
@@ -69,6 +70,13 @@ def test_gen_random_errors():
     for p, q in [(0, 0), (2, 0), (-1, 1)]:
         with pytest.raises(InvalidArgument):
             gen_random(10, p, q, 2, seed=1)
+    # n, k and seed must be integers: no truncation, no bare TypeError
+    for n, k, seed in [(10.0, 2, 1), (10, 2.0, 1), (10, 2, 1.5), (10, 2, True), (True, 1, 1), ("10", 2, 1)]:
+        with pytest.raises(InvalidArgument):
+            gen_random(n, 1, 1, k, seed=seed)
+    # numpy integers are integers
+    same = gen_random(np.int64(10), 1, 1, np.int32(2), seed=np.uint64(1))
+    assert same[1].labels == gen_random(10, 1, 1, 2, seed=1)[1].labels
 
 
 def test_reduction_tau_p2():
@@ -128,6 +136,13 @@ def test_reduction_errors():
         gen_3partition_reduction([1, 1, 1], p=1)
     with pytest.raises(InvalidArgument):
         gen_3partition_reduction(["a"], 2)
+    # non-integers are refused, not truncated; bools are not integers here
+    for elements, p, q in [([3.9, 3, 4], 2, 1), (["3", 3, 4], 2, 1), ([3, True, 4], 2, 1), (7, 2, 1),
+                           ([3, 3, 4], 2.0, 1), ([3, 3, 4], True, 1), ([3, 3, 4], 3, 1.0)]:
+        with pytest.raises(InvalidArgument):
+            gen_3partition_reduction(elements, p, q)
+    with pytest.warns(RuntimeWarning):
+        assert gen_3partition_reduction(np.array([3, 3, 4]), np.int64(2)).elements == (3, 3, 4)
 
 
 def test_reduction_warns_beyond_cap():

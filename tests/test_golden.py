@@ -132,3 +132,29 @@ def _consensus_digests(tmp_path):
 
 def test_consensus_cli_bytes_identical(tmp_path):
     assert _consensus_digests(tmp_path) == CONSENSUS_DIGESTS
+
+
+GRID_RATIOS = ((1, 1), (2, 1), (3, 1), (4, 1), (3, 2), (5, 2), (5, 3), (4, 3), (7, 2))
+
+# recorded before the drivers moved to the count table of ClusterState.counts()
+GRID_DIGEST = "8164197201f161067b98fb33626c946aac205e0aa24a29321e5181a801bbd189"
+
+
+def _grid_cases():
+    """30 small seeded instances per ratio: n up to 8 shares, k up to 12."""
+    for p, q in GRID_RATIOS:
+        for i in range(30):
+            n = (p + q) * (2 + i % 7)
+            yield n, p, q, 1 + (7 * i) % min(n, 12), 100 * p + 10 * q + i
+
+
+def test_closest_fair_small_grid_byte_identical():
+    records, cases = [], set()
+    for n, p, q, k, seed in _grid_cases():
+        inst, clu = gen_random(n, p, q, k, seed)
+        out, report, transcript = closest_fair(inst, clu)
+        moves = [[list(m.points), m.src, m.dst, m.cost] for m in transcript.moves]
+        records.append([list(out.labels), moves, transcript.meta, report.stage_distances])
+        cases.add(transcript.meta.get("case"))
+    assert cases >= {"cut-cut", "cut-merge", "merge-cut", "merge-merge"}
+    assert _sha(records) == GRID_DIGEST

@@ -1,5 +1,7 @@
 import math
+from itertools import islice
 
+import numpy as np
 import pytest
 
 from fairmerge import (
@@ -16,7 +18,7 @@ from fairmerge import (
     oracle_consensus,
 )
 from fairmerge.errors import EmptyInput, InvalidArgument, TooLarge
-from fairmerge.oracle import _labels_matrix, oracle_cap
+from fairmerge.oracle import _label_chunks, _labels_matrix, oracle_cap
 
 from support import counts_instance, mono_instance
 
@@ -170,3 +172,19 @@ def test_argmin_is_first_in_enumeration_order():
             break
         seen += 1
     assert seen < BELL_NUMBERS[6]
+
+
+def _lex_increasing(rows: np.ndarray) -> bool:
+    """True when every row is lexicographically above the one before it."""
+    diff = np.diff(rows.astype(np.int64), axis=0)
+    first = np.argmax(diff != 0, axis=1)  # first differing column
+    return bool(np.all(diff[np.arange(diff.shape[0]), first] > 0))
+
+
+def test_label_chunks_at_13_extend_the_12_matrix_in_enumeration_order():
+    chunks = _label_chunks(13, chunk_rows=1 << 12)
+    first, second = next(chunks), next(chunks)
+    expected = [c.labels for c in islice(enum_partitions(13), 300)]
+    assert [tuple(r) for r in first[:300].tolist()] == expected
+    assert _lex_increasing(first) and _lex_increasing(second)
+    assert _lex_increasing(np.concatenate([first[-1:], second[:1]]))

@@ -66,17 +66,24 @@ def test_vectorized_costs_match_replay_on_random_move_sequences():
         for _ in range(int(rng.integers(1, 25))):
             if rng.random() < 0.15:
                 state.new_cluster()
-            live = [c for c in range(len(state.clusters)) if state.size(c)]
-            src = int(rng.choice(live))
-            color = "blue" if state.blue_count(src) and rng.random() < 0.5 else "red"
-            have = state.blue_count(src) if color == "blue" else state.red_count(src)
+            counts = state.counts()
+            src = int(rng.choice(np.flatnonzero(counts.sum(axis=1))))
+            red, blue = counts[src].tolist()
+            color = "blue" if blue and rng.random() < 0.5 else "red"
+            have = blue if color == "blue" else red
             if have == 0:
-                color, have = "blue", state.blue_count(src)
-            dst = int(rng.choice([c for c in range(len(state.clusters)) if c != src] or [src]))
+                color, have = "blue", blue
+            dst = int(rng.choice([c for c in range(counts.shape[0]) if c != src] or [src]))
             if dst == src:
                 continue
             state.move(src, dst, color, int(rng.integers(1, have + 1)), from_low=bool(rng.random() < 0.5))
         _assert_priced_like_replay(state)
+        # the live counts are the per-role tally of the points' current keys,
+        # and every pool stays ascending
+        counts = state.counts()
+        key = state.key_labels() * 2 + state.instance.role_blue_mask
+        assert counts.ravel().tolist() == np.bincount(key, minlength=counts.size).tolist()
+        assert all(list(pool) == sorted(pool) for pool in state.pools)
 
 
 def test_moves_read_mid_run_stay_one_list_and_complete():
@@ -135,7 +142,8 @@ def test_bad_move_raises_a_library_error_and_changes_nothing(src, dst, color, co
     def snapshot():
         t = state.transcript
         return (
-            [(list(c.reds), list(c.blues)) for c in state.clusters],
+            [list(pool) for pool in state.pools],
+            state.counts().tolist(),
             state.key_labels().tolist(),
             t.move_count,
             t.costs.tolist(),
