@@ -20,33 +20,34 @@ from .transcript import ClusterState
 
 
 def _run_exact(state: ClusterState) -> None:
-    """Apply both phases on a live state, recording every move."""
-    instance = state.instance
-    reds: list[tuple[int, int, int]] = []  # (size, origin, state key)
-    blues: list[tuple[int, int, int]] = []
-    stats = all_stats(instance, state.baseline)
+    """Apply both phases on a live state, one ``move`` call each."""
+    stats = all_stats(state.instance, state.baseline)
     uneven = np.flatnonzero(stats.blue != stats.red)
-    for c, b, r in zip(uneven.tolist(), stats.blue[uneven].tolist(), stats.red[uneven].tolist()):
-        color = "blue" if b > r else "red"
-        excess = abs(b - r)
-        if min(b, r) == 0:
-            key = c  # the whole cluster is the leftover block; no move needed
-        else:
-            key = state.new_cluster()
-            state.move(c, key, color, excess)
-        (blues if color == "blue" else reds).append((excess, c, key))
-    reds.sort()
-    blues.sort()
-    # Pair the smallest blocks of each color first.  A remainder stays at the
-    # head of its list; it only shrinks, so it stays the smallest of its color.
-    red_left = [r[0] for r in reds]
-    for ri, bi, k in pair_off(red_left[:], [b[0] for b in blues]):
-        red_key, blue_key = reds[ri][2], blues[bi][2]
-        red_left[ri] -= k
-        if red_left[ri] == 0:  # the red block is used up (a tie counts): blues join it
-            state.move(blue_key, red_key, "blue", k, from_low=True)
-        else:
-            state.move(red_key, blue_key, "red", k, from_low=True)
+    blue, red = stats.blue[uneven], stats.red[uneven]
+    is_blue = blue > red
+    excess = np.abs(blue - red)
+    # a cluster of one color is its own leftover block; any other splits
+    # its leftover into a new cluster
+    key = uneven.copy()
+    split = np.flatnonzero(np.minimum(blue, red) > 0)
+    key[split] = state.new_cluster(split.shape[0]) + np.arange(split.shape[0])
+    state.move(uneven[split], key[split], np.where(is_blue[split], "blue", "red"), excess[split])
+    # Pair the smallest blocks of each color first (by size, then origin).
+    # A remainder stays at the head of its list; it only shrinks, so it
+    # stays the smallest of its color.
+    by_size = np.lexsort((uneven, excess))
+    reds, blues = by_size[~is_blue[by_size]], by_size[is_blue[by_size]]
+    ri, bi, k = pair_off(excess[reds], excess[blues])
+    red_key, blue_key = key[reds][ri], key[blues][bi]
+    # the red block is used up (a tie counts): the blues join it
+    red_done = np.cumsum(k) == np.cumsum(excess[reds])[ri]
+    state.move(
+        np.where(red_done, blue_key, red_key),
+        np.where(red_done, red_key, blue_key),
+        np.where(red_done, "blue", "red"),
+        k,
+        from_low=True,
+    )
 
 
 def find_closest_fair_11(

@@ -32,9 +32,8 @@ def _make_clusters_fair(state: ClusterState) -> None:
     spare, missing = sigma[donors], -sigma[receivers]
     if spare.sum() != missing.sum():
         raise InfeasibleFairness("red spares and red shortfalls do not match")
-    donors, receivers = donors.tolist(), receivers.tolist()
-    for i, j, k in pair_off(spare.tolist(), missing.tolist()):
-        state.move(donors[i], receivers[j], "red", k)
+    i, j, k = pair_off(spare, missing)
+    state.move(donors[i], receivers[j], "red", k)
 
 
 def make_clusters_fair(

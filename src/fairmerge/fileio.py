@@ -19,6 +19,13 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _write_json(obj, path) -> None:
+    try:
+        Path(path).write_text(_dumps(obj), encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -59,7 +66,7 @@ def save_instance(instance: ColoredInstance, path) -> None:
         "p": instance.given_p,
         "q": instance.given_q,
     }
-    Path(path).write_text(_dumps(doc), encoding="utf-8")
+    _write_json(doc, path)
 
 
 def load_clustering(path, n: int | None = None) -> Clustering:
@@ -79,8 +86,8 @@ def load_clustering(path, n: int | None = None) -> Clustering:
 
 
 def save_clustering(clustering: Clustering, path) -> None:
-    Path(path).write_text(_dumps({"labels": clustering.labels_array().tolist()}), encoding="utf-8")
+    _write_json({"labels": clustering.labels_array().tolist()}, path)
 
 
 def save_report(report: dict, path) -> None:
-    Path(path).write_text(_dumps(report), encoding="utf-8")
+    _write_json(report, path)

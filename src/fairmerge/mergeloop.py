@@ -14,14 +14,12 @@ deficit clusters in priority order until every deficit is filled.
 
 Every decision here reads counts, the baseline surplus column or the
 state's ``counts()`` table; points are touched only through
-``ClusterState.move``.
+``ClusterState.move``, one call per pass.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -31,34 +29,35 @@ from .model import _divmod
 from .transcript import ClusterState
 
 
-def pair_off(supply: Sequence[int], demand: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Greedy pairing of two lists of positive amounts, both walked in order.
+def pair_off(
+    supply: Sequence[int] | np.ndarray, demand: Sequence[int] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy pairing of two sequences of positive amounts, both walked in order.
 
     Each step hands ``k = min(supply left at i, demand left at j)`` from
-    supply ``i`` to demand ``j`` and yields ``(i, j, k)``; an exhausted
-    amount moves its cursor on (both cursors on a tie).  Stops as soon as
-    either side runs out, so the triples carry ``min(sum(supply),
-    sum(demand))`` in total.
+    supply ``i`` to demand ``j``; an exhausted amount moves its cursor on
+    (both cursors on a tie).  Stops as soon as either side runs out, so the
+    steps carry ``min(sum(supply), sum(demand))`` in total.  Returns the
+    steps as three int64 columns ``(i, j, k)``.
+
+    The steps are the gaps between consecutive running totals of either
+    side, so one merge of the two ascending running-total columns finds
+    them all.
     """
-    steps: list[tuple[int, int, int]] = []
-    ns, nd = len(supply), len(demand)
-    i = j = 0
-    s = supply[0] if ns else 0
-    d = demand[0] if nd else 0
-    while i < ns and j < nd:
-        k = min(s, d)
-        steps.append((i, j, k))
-        s -= k
-        d -= k
-        if s == 0:
-            i += 1
-            if i < ns:
-                s = supply[i]
-        if d == 0:
-            j += 1
-            if j < nd:
-                d = demand[j]
-    return steps
+    supply_end = np.cumsum(np.asarray(supply, dtype=np.int64))
+    demand_end = np.cumsum(np.asarray(demand, dtype=np.int64))
+    if not (supply_end.shape[0] and demand_end.shape[0]):
+        return tuple(np.empty(0, dtype=np.int64) for _ in range(3))
+    ends = np.concatenate((supply_end, demand_end))
+    ends.sort(kind="stable")  # a merge of two sorted runs
+    ends = ends[np.flatnonzero(np.diff(ends, prepend=0))]  # the positive amounts make 0 no end
+    ends = ends[: np.searchsorted(ends, min(supply_end[-1], demand_end[-1]), side="right")]
+    starts = np.concatenate(([0], ends[:-1]))
+    return (
+        np.searchsorted(supply_end, starts, side="right"),
+        np.searchsorted(demand_end, starts, side="right"),
+        ends - starts,
+    )
 
 
 def transfer(
@@ -81,21 +80,19 @@ def transfer(
     balanced = np.flatnonzero(surplus == 0).tolist()
     cut = np.flatnonzero((surplus > 0) & (2 * surplus <= modulus))
     merge = np.flatnonzero(2 * surplus > modulus)
-    supply = surplus[cut].tolist()
-    demand: list[int] = []
+    supply = surplus[cut]
+    demand = np.empty(0, dtype=np.int64)
     if merge.shape[0]:  # then modulus < 2n, so the int64 arithmetic is exact
         s = surplus[merge]
         size = state.counts()[merge].sum(axis=1)
         merge = merge[np.argsort((modulus - s) * size - s * (size - s), kind="stable")]
-        demand = (modulus - surplus[merge]).tolist()
-    cut, merge = cut.tolist(), merge.tolist()
-    steps = pair_off(supply, demand)
-    for i, j, k in steps:
-        state.move(cut[i], merge[j], color, k)
-    moved = sum(k for _, _, k in steps)
-    di = bisect_right(list(accumulate(supply)), moved)
-    mi = bisect_right(list(accumulate(demand)), moved)
-    return balanced + cut[:di], cut[di:], merge[mi:]
+        demand = modulus - surplus[merge]
+    i, j, k = pair_off(supply, demand)
+    state.move(cut[i], merge[j], color, k)
+    moved = k.sum()
+    di = np.searchsorted(np.cumsum(supply), moved, side="right")
+    mi = np.searchsorted(np.cumsum(demand), moved, side="right")
+    return balanced + cut[:di].tolist(), cut[di:].tolist(), merge[mi:].tolist()
 
 
 def make_donor_blocks(
@@ -132,18 +129,16 @@ def pack_extras(state: ClusterState, donors: list[int], color: str, modulus: int
     """
     surplus = _divmod(state.counts()[donors, int(color == "blue")], modulus, state.instance.n)[1]
     given = np.flatnonzero(surplus)
-    donors, supply = np.asarray(donors, dtype=np.int64)[given].tolist(), surplus[given].tolist()
-    total = sum(supply)
+    donors, supply = np.asarray(donors, dtype=np.int64)[given], surplus[given]
+    total = int(supply.sum())
     if total == 0:
         return 0
     if total % modulus:
         raise SurplusNotMultiple(f"total {color} surplus {total} not a multiple of {modulus}")
-    extras: list[int] = []
-    for i, j, k in pair_off(supply, [modulus] * (total // modulus)):
-        if j == len(extras):
-            extras.append(state.new_cluster())
-        state.move(donors[i], extras[j], color, k)
-    return total // modulus
+    created = total // modulus
+    i, j, k = pair_off(supply, np.full(created, modulus))
+    state.move(donors[i], state.new_cluster(created) + j, color, k)
+    return created
 
 
 def run_merge_subsets(
@@ -190,6 +185,7 @@ def run_merge_subsets(
     heapq.heapify(heap)
 
     stale: set[int] = set()  # receivers that got points
+    moves: list[tuple[int, int, int]] = []  # (donor, receiver, points), made in one call at the end
     j = 0  # every receiver before the cursor has deficit 0
     w = w_initial
     cuts = 0
@@ -209,7 +205,7 @@ def run_merge_subsets(
             r = receivers[j]
             g = min(deficit[r], remaining)
             if g:
-                state.move(c, r, color, g)
+                moves.append((c, r, g))
                 deficit[r] -= g
                 remaining -= g
                 w -= g
@@ -225,6 +221,8 @@ def run_merge_subsets(
         if z <= nb:  # a stale donor's entry is dropped when it surfaces
             heapq.heappush(heap, (modulus * (se - z * modulus - s), c, z, i))
 
+    src, dst, count = zip(*moves)
+    state.move(src, dst, color, count)
     meta[f"{meta_prefix}_subsets_cut"] = cuts
     if cuts * modulus != w_initial:
         raise InternalDeficitMismatch(

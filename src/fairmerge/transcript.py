@@ -12,7 +12,6 @@ dist(baseline, final state), which is what makes transcripts auditable.
 from __future__ import annotations
 
 from array import array
-from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,17 +34,24 @@ class Move:
     cost: int
 
 
-def _earlier_sums(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per item, the sum of ``values`` over the earlier items with its key."""
+def _grouped(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Items grouped by key, by one stable sort.
+
+    Returns the distinct keys ascending, each item's group (an index into
+    them), and per item the sum of ``values`` over the earlier items with
+    its key.
+    """
     order = np.argsort(keys, kind="stable")
     k, v = keys[order], values[order]
     before = np.cumsum(v) - v
     starts = np.ones(k.shape[0], dtype=bool)
     starts[1:] = k[1:] != k[:-1]
-    group_start = np.maximum.accumulate(np.where(starts, np.arange(k.shape[0]), 0))
-    out = np.empty_like(v)
-    out[order] = before - before[group_start]
-    return out
+    first = np.flatnonzero(starts)
+    group = np.empty_like(order)
+    group[order] = np.cumsum(starts) - 1
+    earlier = np.empty_like(v)
+    earlier[order] = before - np.repeat(before[first], np.diff(first, append=k.shape[0]))
+    return k[first], group, earlier
 
 
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -74,11 +80,10 @@ class _MoveLog:
     def __len__(self) -> int:
         return len(self.src)
 
-    def record(self, src: int, dst: int, pts: array) -> None:
-        self.src.append(src)
-        self.dst.append(dst)
-        self.count.append(len(pts))
-        self.points.extend(pts)
+    def extend(self, src: np.ndarray, dst: np.ndarray, count: np.ndarray, points: np.ndarray) -> None:
+        """Append moves given as int64 columns, points concatenated in move order."""
+        for column, values in ((self.src, src), (self.dst, dst), (self.count, count), (self.points, points)):
+            column.frombytes(values.astype(np.int64, copy=False).tobytes())
 
     def costs(self) -> np.ndarray:
         """Read-only int64 cost of every logged move, priced once per log length."""
@@ -106,7 +111,7 @@ class _MoveLog:
         size = np.zeros(max(k, int(src.max()) + 1, int(dst.max()) + 1), dtype=np.int64)
         size[:k] = base
         # net points a cluster gained in the moves before this one
-        gained = _earlier_sums(_interleave(src, dst), _interleave(-cnt, cnt)).reshape(m, 2)
+        gained = _grouped(_interleave(src, dst), _interleave(-cnt, cnt))[2].reshape(m, 2)
         src_after = size[src] + gained[:, 0] - cnt
         dst_before = size[dst] + gained[:, 1]
 
@@ -117,7 +122,7 @@ class _MoveLog:
         mv, g = np.divmod(pair, k)
         s, d = src[mv], dst[mv]
         # the same per (cluster, origin); a cluster starts with its own points
-        gained = _earlier_sums(_interleave(s * k + g, d * k + g), _interleave(-w, w)).reshape(-1, 2)
+        gained = _grouped(_interleave(s * k + g, d * k + g), _interleave(-w, w))[2].reshape(-1, 2)
         in_src = np.where(s == g, base[g], 0) + gained[:, 0] - w  # after the move
         in_dst = np.where(d == g, base[g], 0) + gained[:, 1]  # before the move
         first = np.flatnonzero(np.diff(mv, prepend=-1))
@@ -291,11 +296,22 @@ class ClusterState:
     """Mutable clustering the algorithms edit, keyed by stable cluster ids.
 
     Keys 0..k-1 are the baseline clusters; clusters created later get fresh
-    keys in creation order, which keeps transcripts replayable.  Points live
-    in one pool per (cluster, role): ``pools[2 * key + role]``, role 0 red
-    and 1 blue.  Each pool holds point ids ascending, so "the s
-    highest-indexed blue points" is a well-defined deterministic cut.  The
-    drivers decide from ``counts()`` and touch pools only through ``move``.
+    keys in creation order, which keeps transcripts replayable.  A pool is
+    the points of one (cluster, role), role 0 red and 1 blue; a move takes
+    a pool's highest point ids, or its lowest, so every cut is
+    deterministic.  The state keeps no pool objects:
+
+    - the points sorted by (baseline cluster, role, id), with one live
+      ``[lo, hi)`` range per pool, empty for a cluster made later.  Takes
+      remove a top suffix or a bottom prefix of a pool, so the baseline
+      points a pool still holds stay one range;
+    - every point's live key, ``loc``, and the live (k, 2) count table;
+    - the points moved so far, once each.  A pool's other points are the
+      moved points whose key and role are its own, a point back in its
+      baseline cluster among them.
+
+    The drivers decide from ``counts()`` and touch points only through
+    ``move``, one call per phase.
     """
 
     def __init__(self, instance: ColoredInstance, clustering: Clustering) -> None:
@@ -303,19 +319,15 @@ class ClusterState:
         self.instance = instance
         self.baseline = clustering
         self._base_labels = clustering.labels_array()
-        # one (cluster, role) key per point; a stable sort by it lists each
-        # pool's points ascending, pool after pool
-        key = self._base_labels * 2 + instance.role_blue_mask
-        flat = memoryview(_radix_argsort(key, 2 * clustering.k).astype(np.int64, copy=False)).cast("B")
+        self._blue = instance.role_blue_mask
+        key = self._base_labels * 2 + self._blue
+        self._order = _radix_argsort(key, 2 * clustering.k).astype(np.int64, copy=False)
         counts = np.bincount(key, minlength=2 * clustering.k)
-        ends = (8 * np.cumsum(counts)).tolist()  # byte offsets
-        # point ids as machine ints: a point becomes a Python int only when a
-        # move reads it
-        self.pools: list[array] = []
-        for start, end in zip([0] + ends, ends):
-            pool = array("q")
-            pool.frombytes(flat[start:end])
-            self.pools.append(pool)
+        self._hi = np.cumsum(counts)
+        self._lo = self._hi - counts
+        self._counts = counts.reshape(-1, 2)
+        self._loc = self._base_labels.copy()
+        self._moved = np.empty(0, dtype=np.int64)
         self.transcript = Transcript(self._base_labels, counts[0::2] + counts[1::2])
         self._log = self.transcript._log
 
@@ -323,67 +335,145 @@ class ClusterState:
 
     def counts(self) -> np.ndarray:
         """Live (red, blue) point counts as a fresh int64 table, one row per key."""
-        pools = self.pools
-        return np.fromiter(map(len, pools), dtype=np.int64, count=len(pools)).reshape(-1, 2)
+        return self._counts.copy()
 
     # -- mutation -----------------------------------------------------
 
-    def new_cluster(self) -> int:
-        self.pools += (array("q"), array("q"))
-        return len(self.pools) // 2 - 1
+    def new_cluster(self, count: int = 1) -> int:
+        """Add ``count`` empty clusters with consecutive keys; return the first."""
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+            raise InvalidArgument(f"cannot create {count!r} clusters")
+        first = self._counts.shape[0]
+        self._counts = np.concatenate((self._counts, np.zeros((count, 2), dtype=np.int64)))
+        empty = np.zeros(2 * count, dtype=np.int64)  # no baseline range
+        self._lo, self._hi = np.concatenate((self._lo, empty)), np.concatenate((self._hi, empty))
+        return first
 
-    def move(self, src: int, dst: int, color: str, count: int, from_low: bool = False) -> None:
-        """Move ``count`` points of ``color`` from src to dst and log the move.
+    def move(self, src, dst, color, count, from_low: bool = False) -> None:
+        """Make a phase of moves in one call and log them in order.
 
-        Takes the highest point ids by default, the lowest when ``from_low``.
-        The move is priced later, with the whole log.  Raises
-        :class:`BadClusterId` for a key that names no cluster and
-        :class:`InvalidArgument` for src == dst or a count src cannot give;
-        the state and the log are then unchanged.
+        ``src``, ``dst``, ``color`` ("red" or "blue") and ``count`` are
+        scalars or equal-length sequences, one entry per move; move ``i``
+        carries ``count[i]`` points of ``color[i]`` from ``src[i]`` to
+        ``dst[i]``.  Each move takes the highest point ids its source pool
+        has left, or the lowest for ``from_low``; a move of 0 points is
+        dropped.  Moves are priced later, with the whole log.
+
+        Precondition of one call: no (cluster, color) both gives and
+        receives.  Each source pool then gives consecutive slices of its
+        points as they stood at the call, which is what the same moves made
+        one at a time would take.  Raises :class:`BadClusterId` for a key
+        that names no cluster and :class:`InvalidArgument` for src == dst,
+        a negative count, a broken precondition or more points than a pool
+        holds; the state and the log are then unchanged.
         """
-        if count == 0:
+        try:
+            src, dst, role, count = (
+                np.ravel(a)
+                for a in np.broadcast_arrays(
+                    _int_column(src, BadClusterId, "cluster keys"),
+                    _int_column(dst, BadClusterId, "cluster keys"),
+                    _roles(color),
+                    _int_column(count, InvalidArgument, "point counts"),
+                )
+            )
+        except ValueError:
+            raise InvalidArgument("move columns must have equal lengths") from None
+        live = count != 0
+        if not live.all():
+            src, dst, role, count = src[live], dst[live], role[live], count[live]
+        if count.shape[0] == 0:
             return
-        pools = self.pools
-        k = len(pools) // 2
-        if not (0 <= src < k and 0 <= dst < k):
-            raise BadClusterId(f"move from {src} to {dst}: keys are 0..{k - 1}")
-        if src == dst:
-            raise InvalidArgument(f"move within cluster {src}")
-        role = color == "blue"
-        lst = pools[2 * src + role]
-        if not 0 < count <= len(lst):
-            raise InvalidArgument(f"cannot move {count} {color} points: cluster {src} has {len(lst)}")
+        k = self._counts.shape[0]
+        bad = np.flatnonzero((np.minimum(src, dst) < 0) | (np.maximum(src, dst) >= k))
+        if bad.shape[0]:
+            i = bad[0]
+            raise BadClusterId(f"move from {src[i]} to {dst[i]}: keys are 0..{k - 1}")
+        if (src == dst).any():
+            raise InvalidArgument(f"move within cluster {src[np.argmax(src == dst)]}")
+        if (count < 0).any():
+            raise InvalidArgument(f"cannot move {count[np.argmax(count < 0)]} points")
+        give, take = 2 * src + role, 2 * dst + role
+        pool, g, before = _grouped(give, count)  # before: points each pool gave earlier in this call
+        at = np.minimum(np.searchsorted(pool, take), pool.shape[0] - 1)
+        both = np.flatnonzero(pool[at] == take)
+        if both.shape[0]:
+            c, r = divmod(int(take[both[0]]), 2)
+            raise InvalidArgument(f"cluster {c} both gives and receives {_COLORS[r]} points in one call")
+        have = self._counts.reshape(-1)[give]
+        over = np.flatnonzero(before + count > have)
+        if over.shape[0]:
+            i = over[0]
+            raise InvalidArgument(
+                f"cannot move {before[i] + count[i]} {_COLORS[role[i]]} points: cluster {src[i]} has {have[i]}"
+            )
+
+        # Candidates per source pool: its moved points, and at most as many
+        # of its baseline range as it gives, from the end it gives from.
+        total = np.bincount(g, weights=count, minlength=pool.shape[0]).astype(np.int64)
+        lo, hi = self._lo[pool], self._hi[pool]
+        n_base = np.minimum(total, hi - lo)
+        base = self._order[_ranges(lo if from_low else hi - n_base, n_base)]
+        moved = self._moved
+        held = 2 * self._loc[moved] + self._blue[moved]
+        at = np.minimum(np.searchsorted(pool, held), pool.shape[0] - 1)
+        mine = np.flatnonzero(pool[at] == held)
+        points = np.concatenate((base, moved[mine]))
+        owner = np.concatenate((np.repeat(np.arange(pool.shape[0]), n_base), at[mine]))
+        # each pool ascending, pool after pool; owner * n + point < n * n fits int64
+        order = np.argsort(owner * self._loc.shape[0] + points, kind="stable")
+        size = np.bincount(owner, minlength=pool.shape[0])
+        first = np.cumsum(size) - size
+
+        # Source pools give consecutive slices, in log order.
+        start = first[g] + (before if from_low else size[g] - before - count)
+        pick = order[_ranges(start, count)]
+        pts = points[pick]
+        fresh = pick < base.shape[0]  # taken from a baseline range
+        n_fresh = np.bincount(np.repeat(g, count)[fresh], minlength=pool.shape[0])
         if from_low:
-            pts = lst[:count]
-            del lst[:count]
+            self._lo[pool] += n_fresh
         else:
-            pts = lst[-count:]
-            del lst[-count:]
-        tgt = pools[2 * dst + role]
-        if not tgt or pts[0] > tgt[-1]:
-            tgt.extend(pts)
-        else:
-            for u in pts:
-                insort(tgt, u)
-        self._log.record(src, dst, pts)
+            self._hi[pool] -= n_fresh
+        self._moved = np.concatenate((moved, pts[fresh]))
+        self._loc[pts] = np.repeat(dst, count)
+        flat = self._counts.reshape(-1)
+        flat[pool] -= total
+        np.add.at(flat, take, count)
+        self._log.extend(src, dst, count, pts)
 
     # -- output -------------------------------------------------------
 
     def key_labels(self) -> np.ndarray:
-        """Each point's current cluster key, as a fresh int64 array.
-
-        A point's key is its baseline label, or the destination of the last
-        move that carried it; the work is linear in the points moved, apart
-        from one copy of the baseline array.
-        """
-        out = self._base_labels.copy()
-        log = self._log
-        if len(log):
-            pts = np.array(log.points, dtype=np.int64)
-            dst = np.repeat(np.array(log.dst, dtype=np.int64), np.array(log.count, dtype=np.int64))
-            last = pts.shape[0] - 1 - np.unique(pts[::-1], return_index=True)[1]
-            out[pts[last]] = dst[last]
-        return out
+        """Each point's current cluster key, as a fresh int64 array."""
+        return self._loc.copy()
 
     def to_clustering(self) -> Clustering:
-        return normalize(self.key_labels(), self.baseline.n)
+        return normalize(self._loc, self.baseline.n)
+
+
+_COLORS = ("red", "blue")
+
+
+def _int_column(x, error: type, what: str) -> np.ndarray:
+    a = np.asarray(x)
+    if a.size and a.dtype.kind not in "iu":
+        raise error(f"{what} must be integers, got {x!r}")
+    return a.astype(np.int64, copy=False)
+
+
+def _roles(color) -> np.ndarray:
+    """0 for "red" and 1 for "blue", per entry of a string or a sequence of them."""
+    a = np.asarray(color, dtype=str)
+    blue = a == "blue"
+    if not (blue | (a == "red")).all():
+        raise InvalidArgument(f"colors must be 'red' or 'blue', got {color!r}")
+    return blue.astype(np.int64)
+
+
+def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The runs start[i], ..., start[i] + length[i] - 1, concatenated."""
+    end = np.cumsum(length)
+    if end.shape[0] == 0:
+        return end
+    return np.arange(end[-1]) + np.repeat(start - (end - length), length)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from fairmerge import Color, ColoredInstance, dist_fast, normalize
+from fairmerge.mergeloop import pair_off
 from fairmerge.model import Clustering
 from fairmerge.transcript import Transcript
 
@@ -15,6 +16,39 @@ def members(clustering: Clustering) -> tuple[tuple[int, ...], ...]:
     for u, c in enumerate(clustering.labels):
         out[c].append(u)
     return tuple(map(tuple, out))
+
+
+def pair_off_walk(supply, demand) -> list[tuple[int, int, int]]:
+    """Reference pairing walk: one step at a time, two cursors.
+
+    Each step hands ``k = min(supply left at i, demand left at j)`` from
+    supply ``i`` to demand ``j``; an exhausted amount moves its cursor on
+    (both cursors on a tie).  ``mergeloop.pair_off`` is checked against it.
+    """
+    steps: list[tuple[int, int, int]] = []
+    ns, nd = len(supply), len(demand)
+    i = j = 0
+    s = supply[0] if ns else 0
+    d = demand[0] if nd else 0
+    while i < ns and j < nd:
+        k = min(s, d)
+        steps.append((i, j, k))
+        s -= k
+        d -= k
+        if s == 0:
+            i += 1
+            if i < ns:
+                s = supply[i]
+        if d == 0:
+            j += 1
+            if j < nd:
+                d = demand[j]
+    return steps
+
+
+def pair_off_triples(supply, demand) -> list[tuple[int, int, int]]:
+    """``mergeloop.pair_off``'s three columns as a list of (i, j, k) triples."""
+    return list(zip(*(column.tolist() for column in pair_off(supply, demand))))
 
 
 def replay_pairwise(transcript: Transcript, baseline: Clustering) -> tuple[Clustering, int]:

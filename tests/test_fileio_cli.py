@@ -315,6 +315,12 @@ BAD_INPUTS = [
      ["dist", "{bad}", "{a}", "{a}"], {}),
     ("colors-not-a-string", {"n": 12, "colors": list(_COLORS12), "p": 2, "q": 1}, None,
      ["dist", "{bad}", "{a}", "{a}"], {}),
+    ("out-in-a-missing-directory", None, None, ["closest-fair", "{inst}", "{a}", "--out", "{missing}"], {}),
+    ("report-is-a-directory", None, None,
+     ["closest-fair", "{inst}", "{a}", "--out", "{out2}", "--report", "{dir}"], {}),
+    ("gen-out-instance-in-a-missing-directory", None, None,
+     ["gen", "--kind", "random", "--n", "12", "--p", "2", "--q", "1", "--k", "3", "--seed", "1",
+      "--out-instance", "{missing}", "--out-clustering", "{out2}"], {}),
 ]
 
 
@@ -330,7 +336,8 @@ def test_cli_rejects_malformed_input_with_one_line(case, workspace, capsys, monk
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     names = {"inst": paths["instance"], "a": paths["a"], "bad": bad,
-             "out": tmp_path / "out.json", "out2": tmp_path / "out2.json"}
+             "out": tmp_path / "out.json", "out2": tmp_path / "out2.json",
+             "missing": tmp_path / "missing" / "x.json", "dir": tmp_path}
     capsys.readouterr()
     code = main([arg.format(**names) for arg in argv])
     out, err = capsys.readouterr()

@@ -5,17 +5,18 @@ import numpy as np
 from fairmerge.mergeloop import pair_off, transfer
 from fairmerge.transcript import ClusterState
 
-from support import counts_instance
+from support import counts_instance, pair_off_triples
 
 
 def test_pair_off_examples():
-    assert pair_off([3, 1], [2, 2]) == [(0, 0, 2), (0, 1, 1), (1, 1, 1)]
+    assert pair_off_triples([3, 1], [2, 2]) == [(0, 0, 2), (0, 1, 1), (1, 1, 1)]
     # a tie moves both cursors
-    assert pair_off([2, 2], [2, 1]) == [(0, 0, 2), (1, 1, 1)]
+    assert pair_off_triples([2, 2], [2, 1]) == [(0, 0, 2), (1, 1, 1)]
     # stops when either side runs out
-    assert pair_off([5], [1, 1]) == [(0, 0, 1), (0, 1, 1)]
-    assert pair_off([1], [4, 4]) == [(0, 0, 1)]
-    assert pair_off([], [3]) == pair_off([3], []) == []
+    assert pair_off_triples([5], [1, 1]) == [(0, 0, 1), (0, 1, 1)]
+    assert pair_off_triples([1], [4, 4]) == [(0, 0, 1)]
+    assert pair_off_triples([], [3]) == pair_off_triples([3], []) == []
+    assert all(a.dtype == np.int64 for a in pair_off([], [3]) + pair_off([2], [3]))
 
 
 def _transfer(counts, p):

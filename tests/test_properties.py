@@ -1,16 +1,17 @@
 """Seeded property tests of closest_fair over small random instances, of
-the two balancing entry points on integral ratios, and of the pairing
-walk every stage shares.
+the two balancing entry points on integral ratios, of the pairing walk
+every stage shares, and of the phase-batched ``ClusterState.move``.
 
 Examples are derandomized and bounded, so every run checks the same
 instances; each closest_fair property holds in every regime and for
 either majority color.
 """
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fairmerge import (
     Clustering,
@@ -22,9 +23,10 @@ from fairmerge import (
     is_fair,
     normalize,
 )
-from fairmerge.mergeloop import pair_off
+from fairmerge.errors import FairmergeError
+from fairmerge.transcript import ClusterState
 
-from support import swap_colors
+from support import pair_off_triples, pair_off_walk, swap_colors
 
 RATIOS = ((1, 1), (2, 1), (3, 1), (3, 2), (5, 3), (1, 2), (2, 3))
 SEEDED = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -109,7 +111,9 @@ AMOUNTS = st.lists(st.integers(1, 9), max_size=12)
 @SEEDED
 @given(AMOUNTS, AMOUNTS)
 def test_pair_off_walks_in_order_and_conserves_amounts(supply, demand):
-    steps = pair_off(supply, demand)
+    steps = pair_off_triples(supply, demand)
+    # the vectorized pairing takes the reference walk's steps exactly
+    assert steps == pair_off_walk(supply, demand)
     # in order: each step moves at least one cursor forward, never back
     pairs = [(i, j) for i, j, _ in steps]
     assert pairs == sorted(set(pairs))
@@ -126,3 +130,111 @@ def test_pair_off_walks_in_order_and_conserves_amounts(supply, demand):
         short = [x for x, (h, a) in enumerate(zip(handed, sizes)) if h < a]
         if short:
             assert all(h == 0 for h in handed[short[0] + 1:])
+
+
+COLORS = ("red", "blue")
+
+
+def _apply(inst, clu, steps) -> ClusterState:
+    """A state after ``steps``: cluster counts to create, or move arguments."""
+    state = ClusterState(inst, clu)
+    for step in steps:
+        if isinstance(step, int):
+            state.new_cluster(step)
+        else:
+            state.move(*step)
+    return state
+
+
+def _log_state(state: ClusterState):
+    t = state.transcript
+    log = t._log
+    return (
+        [list(column) for column in (log.src, log.dst, log.count, log.points)],
+        state.key_labels().tolist(),
+        state.counts().tolist(),
+        t.costs.tolist(),
+        list(t.moves),
+    )
+
+
+@st.composite
+def batches(draw):
+    """A state reached by single moves and new clusters, and one batch of
+    moves on it in which no (cluster, color) both gives and receives.
+
+    Returns (instance, clustering, the steps, the batch's moves, from_low).
+    """
+    n = draw(st.integers(2, 24))
+    colors = "".join(draw(st.lists(st.sampled_from("BR"), min_size=n, max_size=n)))
+    inst = ColoredInstance.from_colors(colors, 1, 1)
+    clu = normalize(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    steps: list = []
+    for _ in range(draw(st.integers(0, 6))):
+        steps.append(draw(st.integers(0, 2)))
+        counts = _apply(inst, clu, steps).counts()
+        role = draw(st.integers(0, 1))
+        givers = np.flatnonzero(counts[:, role]).tolist()
+        if givers:
+            src = draw(st.sampled_from(givers))
+            dst = draw(st.sampled_from([c for c in range(counts.shape[0]) if c != src] or [None]))
+            if dst is not None:
+                count = draw(st.integers(1, int(counts[src, role])))
+                steps.append((src, dst, COLORS[role], count, draw(st.booleans())))
+    left = _apply(inst, clu, steps).counts()
+    keys = left.shape[0]
+    gives = [draw(st.lists(st.booleans(), min_size=keys, max_size=keys)) for _ in COLORS]
+    batch = []
+    for _ in range(draw(st.integers(1, 10))):
+        role = draw(st.integers(0, 1))
+        givers = [c for c in range(keys) if gives[role][c] and left[c, role]]
+        receivers = [c for c in range(keys) if not gives[role][c]]
+        if givers and receivers:
+            src = draw(st.sampled_from(givers))
+            count = draw(st.integers(0, int(left[src, role])))  # a move of 0 points is dropped
+            left[src, role] -= count
+            batch.append((src, draw(st.sampled_from(receivers)), COLORS[role], count))
+    return inst, clu, steps, batch, draw(st.booleans())
+
+
+@SEEDED
+@given(batches())
+def test_a_batched_move_equals_its_moves_made_one_at_a_time(case):
+    inst, clu, steps, batch, from_low = case
+    one_call, stepwise = _apply(inst, clu, steps), _apply(inst, clu, steps)
+    if batch:
+        one_call.move(*map(list, zip(*batch)), from_low=from_low)
+    for move in batch:
+        stepwise.move(*move, from_low=from_low)
+    assert _log_state(one_call) == _log_state(stepwise)
+
+
+@SEEDED
+@given(batches(), st.booleans(), st.data())
+def test_a_batch_that_breaks_the_precondition_changes_nothing(case, overdraw, data):
+    inst, clu, steps, batch, from_low = case
+    made = [move for move in batch if move[3]]  # a move of 0 points is dropped unchecked
+    assume(made)
+    state = _apply(inst, clu, steps)
+    left = state.counts()
+    for src, _, color, count in batch:
+        left[src, COLORS.index(color)] -= count
+    src, dst, color, _ = data.draw(st.sampled_from(made))
+    if overdraw:  # one point more than the source has left
+        bad = (src, dst, color, int(left[src, COLORS.index(color)]) + 1)
+    else:  # the receiver also gives this color, or the giver also receives it
+        others = [c for c in range(left.shape[0]) if c not in (src, dst)]
+        assume(others)
+        other = data.draw(st.sampled_from(others))
+        bad = (dst, other, color, 1) if data.draw(st.booleans()) else (other, src, color, 1)
+    moves = batch[:]
+    moves.insert(data.draw(st.integers(0, len(moves))), bad)
+    before = _log_state(state)
+    with pytest.raises(FairmergeError):
+        state.move(*map(list, zip(*moves)), from_low=from_low)
+    assert _log_state(state) == before
+    # the state goes on exactly as one that never saw the bad batch
+    untouched = _apply(inst, clu, steps)
+    for s in (state, untouched):
+        s.move(*map(list, zip(*batch)), from_low=from_low)
+    assert _log_state(state) == _log_state(untouched)

@@ -52,6 +52,8 @@ def test_vectorized_costs_match_replay_on_crafted_moves():
     state.move(2, fresh, "red", 2, from_low=True)  # points 9 and 11
     state.move(fresh, 0, "red", 1)  # point 11, moved twice, back to a baseline cluster
     state.move(2, fresh, "blue", 3)  # points 4, 8, 10 into the fresh cluster
+    state.move([], [], [], [])  # an empty phase logs nothing
+    state.move([0, 1], [1, 2], ["red", "blue"], [0, 0])  # nor do moves of 0 points
     points = [m.points for m in state.transcript.moves]
     assert points == [(2,), (2, 4), (9, 11), (11,), (4, 8, 10)]
     _assert_priced_like_replay(state)
@@ -63,27 +65,32 @@ def test_vectorized_costs_match_replay_on_random_move_sequences():
         n = int(rng.integers(4, 40))
         colors = "".join(rng.choice(["B", "R"], n))
         state = _state(colors, rng.integers(0, int(rng.integers(1, 6)), n).tolist())
+        blue = state.instance.role_blue_mask
         for _ in range(int(rng.integers(1, 25))):
             if rng.random() < 0.15:
                 state.new_cluster()
             counts = state.counts()
             src = int(rng.choice(np.flatnonzero(counts.sum(axis=1))))
-            red, blue = counts[src].tolist()
-            color = "blue" if blue and rng.random() < 0.5 else "red"
-            have = blue if color == "blue" else red
+            red, blue_count = counts[src].tolist()
+            color = "blue" if blue_count and rng.random() < 0.5 else "red"
+            have = blue_count if color == "blue" else red
             if have == 0:
-                color, have = "blue", blue
+                color, have = "blue", blue_count
             dst = int(rng.choice([c for c in range(counts.shape[0]) if c != src] or [src]))
             if dst == src:
                 continue
-            state.move(src, dst, color, int(rng.integers(1, have + 1)), from_low=bool(rng.random() < 0.5))
+            count, from_low = int(rng.integers(1, have + 1)), bool(rng.random() < 0.5)
+            # the pool as it stands, ascending, from the live keys
+            pool = np.flatnonzero((state.key_labels() == src) & (blue == (color == "blue")))
+            state.move(src, dst, color, count, from_low=from_low)
+            # the move took the pool's lowest or highest ids, ascending
+            taken = pool[:count] if from_low else pool[-count:]
+            assert state.transcript.moves[-1].points == tuple(taken.tolist())
         _assert_priced_like_replay(state)
-        # the live counts are the per-role tally of the points' current keys,
-        # and every pool stays ascending
+        # the live counts are the per-role tally of the points' current keys
         counts = state.counts()
-        key = state.key_labels() * 2 + state.instance.role_blue_mask
+        key = state.key_labels() * 2 + blue
         assert counts.ravel().tolist() == np.bincount(key, minlength=counts.size).tolist()
-        assert all(list(pool) == sorted(pool) for pool in state.pools)
 
 
 def test_moves_read_mid_run_stay_one_list_and_complete():
@@ -132,17 +139,29 @@ def test_replay_on_a_baseline_that_lacks_a_moved_point_names_the_move():
         (0, 1, "red", -1, InvalidArgument),
         (0, 3, "red", 1, BadClusterId),
         (-1, 0, "red", 1, BadClusterId),
+        (0, 1, "green", 1, InvalidArgument),
+        (0, 1, "red", True, InvalidArgument),
+        # batches: every move is checked before any is made
+        ([0, 1], [1, 0], "blue", [1, 1], InvalidArgument),  # cluster 0 gives and receives blue
+        ([1, 2], [2, 0], ["red", "red"], [1, 1], InvalidArgument),  # cluster 2 gives and receives red
+        ([1, 1], [0, 2], "red", [1, 2], InvalidArgument),  # cluster 1 holds two reds
+        ([1, 0], [2, 3], "red", [1, 1], BadClusterId),  # the second move names no cluster
+        ([1, 0], [2, 2], ["blue", "red"], [1, -1], InvalidArgument),
+        ([1, 0], [0, 2, 2], "red", 1, InvalidArgument),  # columns of unequal length
     ],
 )
 def test_bad_move_raises_a_library_error_and_changes_nothing(src, dst, color, count, error):
-    state = _state("BR" * 4, [0] * 4 + [1] * 4)
-    state.move(0, 1, "blue", 1)
-    state.new_cluster()
+    def setup():
+        state = _state("BR" * 4, [0] * 4 + [1] * 4)
+        state.move(0, 1, "blue", 1)
+        state.new_cluster()
+        return state
 
-    def snapshot():
+    def snapshot(state):
         t = state.transcript
+        log = t._log
         return (
-            [list(pool) for pool in state.pools],
+            [list(column) for column in (log.src, log.dst, log.count, log.points)],
             state.counts().tolist(),
             state.key_labels().tolist(),
             t.move_count,
@@ -150,8 +169,14 @@ def test_bad_move_raises_a_library_error_and_changes_nothing(src, dst, color, co
             list(t.moves),
         )
 
-    before = snapshot()
+    state, untouched = setup(), setup()
+    before = snapshot(state)
     with pytest.raises(error) as info:
         state.move(src, dst, color, count)
     assert isinstance(info.value, FairmergeError)
-    assert snapshot() == before
+    assert snapshot(state) == before
+    # later moves take the points they take on a state that saw no bad move
+    for s in (state, untouched):
+        s.move([1, 0], [2, 2], ["blue", "red"], [3, 2], from_low=True)
+        s.move(2, 0, "blue", 2)
+    assert snapshot(state) == snapshot(untouched)
